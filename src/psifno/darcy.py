@@ -32,9 +32,11 @@ from .spectral import (
     Grid,
     GridField,
     SpectralCoeffs,
+    _dot,
     _fft_coeffs,
+    _flux_hat,
     _ifft_values,
-    _mode_sq,
+    _lattice,
     _pad_or_fold,
     dft,
     field_from_function,
@@ -128,31 +130,18 @@ class PicardOperator:
         g = self.grid
         self._atilde2 = resample(atilde_N, 2 * g.N).values[..., 0]
         self._invlap_f = inverse_laplacian(f_N).values
-        self._big = Grid(g.d, 2 * g.N)
-        k2 = _mode_sq(g.d, g.N).copy()
-        k2[(g.N,) * g.d] = np.inf  # zero mode must vanish
-        self._inv_k2 = 1.0 / k2
+        self._lattice = _lattice(g.d, g.N)
+        self._center = tuple(slice(g.N, 3 * g.N + 1) for _ in range(g.d))
         self.sup_atilde = float(np.max(np.abs(self._atilde2)))
 
     def apply(self, u: GridField) -> GridField:
         g = self.grid
         if u.grid != g:
             raise BadParameters(f"iterate must live at resolution {g.N}")
-        uhat = _fft_coeffs(u.values, g.d)[..., 0]
-        big = _pad_or_fold(uhat[..., None], g.d, g.N, 2 * g.N)[..., 0]
-        kbig = self._big.modes()
-        grads_hat = np.stack(
-            [1j * kk.astype(float) * big for kk in kbig], axis=-1
-        )
-        grads = _ifft_values(grads_hat, g.d)
-        prod_hat = _fft_coeffs(grads * self._atilde2[..., None], g.d)
-        ks = g.modes()
-        center = tuple(slice(g.N, 3 * g.N + 1) for _ in range(g.d))
-        div_hat = np.zeros(g.shape, dtype=complex)
-        for axis in range(g.d):
-            div_hat += 1j * ks[axis].astype(float) * prod_hat[center + (axis,)]
-        out_hat = div_hat * self._inv_k2
-        term = _ifft_values(out_hat[..., None], g.d)
+        big = _pad_or_fold(_fft_coeffs(u.values[..., 0], g.d), g.d, g.N, 2 * g.N)
+        flux_hat = _flux_hat(self._atilde2, big, g.d)[self._center]
+        div_hat = _dot(self._lattice.ik, flux_hat)
+        term = _ifft_values((div_hat * self._lattice.inv_k2)[..., None], g.d).real
         return GridField(g, term + self._invlap_f)
 
 
@@ -207,11 +196,8 @@ def solve(problem: DarcyProblem) -> DarcySolution:
 def hminus1_norm(f: GridField) -> float:
     """Zero-mean dual norm ((2pi)^d sum_{k!=0} |c_k|^2 / |k|^2)^(1/2)."""
     g = f.grid
-    c = dft(f)
-    k2 = _mode_sq(g.d, g.N).copy()
-    k2[(g.N,) * g.d] = np.inf
-    power = np.sum(np.abs(c.coeffs) ** 2, axis=-1)
-    return float(np.sqrt((2 * np.pi) ** g.d * np.sum(power / k2)))
+    power = np.sum(np.abs(dft(f).coeffs) ** 2, axis=-1)
+    return float(np.sqrt((2 * np.pi) ** g.d * np.sum(power * _lattice(g.d, g.N).inv_k2)))
 
 
 def galerkin_residual_norm(u: GridField, atilde_N: GridField, f_N: GridField) -> float:
@@ -334,24 +320,9 @@ def manufactured_problem(
     M_f = M_u + 1  # a has degree 1, so a * grad(u*) has degree <= M_u + 1
     a = trig_coefficient(d, M_f, amplitude)
     u_fine = resample(u_star, M_f)
-    big = Grid(d, M_f)
-    f_vals = np.zeros(big.shape + (1,))
-    for axis in range(d):
-        gax = idft(
-            SpectralCoeffs(
-                big,
-                dft(u_fine).coeffs * (1j * big.modes()[axis].astype(float))[..., None],
-            )
-        )
-        prod = GridField(big, a.values * gax.values)
-        dprod = idft(
-            SpectralCoeffs(
-                big,
-                dft(prod).coeffs * (1j * big.modes()[axis].astype(float))[..., None],
-            )
-        )
-        f_vals -= dprod.values
-    return a, GridField(big, f_vals), u_fine
+    flux_hat = _flux_hat(a.values[..., 0], _fft_coeffs(u_fine.values[..., 0], d), d)
+    div_hat = _dot(_lattice(d, M_f).ik, flux_hat)
+    return a, GridField(a.grid, -_ifft_values(div_hat[..., None], d).real), u_fine
 
 
 def h1_error_against(u_N: GridField, reference: GridField) -> float:

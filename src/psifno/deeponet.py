@@ -15,14 +15,21 @@ a verified sup bound ||e_j - tau_j|| <= eps / B_bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .emulation import DenseNet, mode_index_list
+from .emulation import DenseNet
 from .errors import BadParameters, DimensionMismatch
 from .fno import PsiFno, activation, layer_forward
-from .spectral import Grid, GridField, dft, idft, l2_norm, random_hermitian_coeffs
+from .spectral import (
+    Grid,
+    GridField,
+    idft,
+    l2_norm,
+    mode_index_list,
+    random_hermitian_coeffs,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -307,7 +314,8 @@ def save_deeponet(export: DeepOnetExport, net: PsiFno, base_path) -> None:
     """Write <base>.deeponet.json plus the source network as <base>.psifno.
 
     The branch layer stack is rebuilt deterministically from the network
-    payload on load, so only the descriptor and the source model are stored.
+    payload on load and B_bar is read back from the descriptor, so only the
+    descriptor and the source model are stored.
     """
     import json
     from pathlib import Path
@@ -342,4 +350,5 @@ def load_deeponet(base_path) -> DeepOnetExport:
     doc = json.loads(base.with_suffix(".deeponet.json").read_text())
     net = load_model(base.parent / doc["branch"]["psifno"])
     export = to_deeponet(net, B=doc.get("B") or 1.0)
-    return export
+    # B_bar is a probe estimate drawn from an RNG; the saved value is authoritative
+    return replace(export, B_bar=float(doc["B_bar"]))

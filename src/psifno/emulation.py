@@ -39,18 +39,46 @@ from .fno import FnoLayer, FourierMultiplier, PsiFno, activation, compose, fno_f
 from .spectral import (
     Grid,
     GridField,
-    SpectralCoeffs,
+    _fft_coeffs,
+    _flux_hat,
+    _ifft_values,
+    _lattice,
+    _leray_hat,
+    _mode_sq,
     dft,
+    derivative,
     idft,
     inverse_laplacian,
     l2_norm,
     l2_sup_bound,
+    mode_index_list,
     random_hermitian_coeffs,
     resample,
     truncation_mask,
 )
 
 H_MIN = 2.0**-40
+_SQ_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])  # sq_h(a+b) - sq_h(a) - sq_h(b) terms
+
+
+def _calibrate(build, error, target: float, h0: float):
+    """Halve the step from h0 until error(build(h)) <= target; returns (net, error).
+
+    Raises CalibrationFailed once h falls below H_MIN, where float64
+    cancellation in the difference quotients outgrows the gadget error.
+    """
+    h, best = h0, np.inf
+    while h >= H_MIN:
+        net = build(h)
+        err = error(net)
+        if err <= target:
+            return net, err
+        best = min(best, err)
+        h *= 0.5
+    raise CalibrationFailed(
+        f"no step h in [{H_MIN:.1e}, {h0:.3g}] meets the target {target:.1e} "
+        f"(smallest error {best:.2e}); float64 cancellation wins first"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +136,11 @@ def _product_net(h: float, spec: ProductNetSpec) -> DenseNet:
     act = activation(spec.activation)
     x0 = spec.x0
     A1 = np.zeros((6, 2))
-    A1[0] = [h, h]
-    A1[1] = [-h, -h]
-    A1[2] = [h, 0.0]
-    A1[3] = [-h, 0.0]
-    A1[4] = [0.0, h]
-    A1[5] = [0.0, -h]
-    b1 = np.full(6, x0)
+    _product_rows(A1, 0, 0, 1, h)
     denom = 2.0 * h * h * act.d2(x0)
-    A2 = (np.array([[1.0, 1.0, -1.0, -1.0, -1.0, -1.0]])) / denom
+    A2 = _product_combine(0, denom, 6)[None, :]
     b2 = np.array([2.0 * act(x0) / denom])
-    return DenseNet(((A1, b1, True), (A2, b2, False)), spec.activation)
+    return DenseNet(((A1, np.full(6, x0), True), (A2, b2, False)), spec.activation)
 
 
 def build_product_net(spec: ProductNetSpec) -> DenseNet:
@@ -131,17 +153,12 @@ def build_product_net(spec: ProductNetSpec) -> DenseNet:
     A, Bm = np.meshgrid(grid_1d, grid_1d, indexing="ij")
     probes = np.stack([A.ravel(), Bm.ravel()], axis=-1)
     target = probes[:, 0] * probes[:, 1]
-    h = spec.h
-    while h >= H_MIN:
-        net = _product_net(h, spec)
-        err = float(np.max(np.abs(net(probes)[:, 0] - target)))
-        if err <= spec.eps:
-            return net
-        h *= 0.5
-    raise CalibrationFailed(
-        f"no step h in [{H_MIN:.1e}, {spec.h}] meets eps={spec.eps:.1e} on "
-        f"[-{spec.B},{spec.B}]^2; the bound is too large for float64 cancellation"
+    net, _ = _calibrate(
+        lambda h: _product_net(h, spec),
+        lambda net: float(np.max(np.abs(net(probes)[:, 0] - target))),
+        spec.eps, spec.h,
     )
+    return net
 
 
 @dataclass(frozen=True)
@@ -228,19 +245,13 @@ def build_affine_approx(spec: AffineApproxSpec, rng=None, probes: int = 24) -> P
     targets = [
         np.asarray(_unactivated_forward(spec.layer, v, act)) for v in fields
     ]
-    h = spec.h
-    while h >= H_MIN:
-        net = _affine_approx_net(h, spec)
-        worst = 0.0
-        for v, want in zip(fields, targets):
-            got = fno_forward(net, v).values
-            worst = max(worst, float(np.max(np.abs(got - want))))
-        if worst <= spec.eps:
-            return net
-        h *= 0.5
-    raise CalibrationFailed(
-        f"affine approximation cannot reach eps={spec.eps:.1e} for B={spec.B}"
+    net, _ = _calibrate(
+        lambda h: _affine_approx_net(h, spec),
+        lambda net: max(float(np.max(np.abs(fno_forward(net, v).values - want)))
+                        for v, want in zip(fields, targets)),
+        spec.eps, spec.h,
     )
+    return net
 
 
 def _unactivated_forward(layer: FnoLayer, v: GridField, act):
@@ -259,24 +270,6 @@ def _mask(grid: Grid, radius: int, zero_mean: bool) -> np.ndarray:
     return truncation_mask(grid, radius, zero_mean).astype(complex)
 
 
-def _ik_arrays(grid: Grid) -> list:
-    return [
-        np.broadcast_to(1j * kk.astype(float), grid.shape).copy() for kk in grid.modes()
-    ]
-
-
-def _ksq_safe(grid: Grid) -> np.ndarray:
-    from .spectral import _mode_sq
-
-    k2 = _mode_sq(grid.d, grid.N).copy()
-    k2[(grid.N,) * grid.d] = np.inf
-    return k2
-
-
-def _k_arrays(grid: Grid) -> list:
-    return [np.broadcast_to(kk.astype(float), grid.shape).copy() for kk in grid.modes()]
-
-
 def _product_rows(W: np.ndarray, row0: int, col_a: int, col_b: int, h: float):
     """Six sq_h feeder rows for one product, written into W starting at row0."""
     W[row0 + 0, col_a] += h
@@ -292,7 +285,7 @@ def _product_rows(W: np.ndarray, row0: int, col_a: int, col_b: int, h: float):
 def _product_combine(row0: int, denom: float, D: int) -> np.ndarray:
     """Row vector reconstructing the product from its six sq_h units."""
     row = np.zeros(D)
-    row[row0 : row0 + 6] = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]) / denom
+    row[row0 : row0 + 6] = _SQ_SIGNS / denom
     return row
 
 
@@ -318,12 +311,12 @@ def _darcy_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiF
     grid = Grid(d, 2 * N)
     D = 6 * d
     mask = _mask(grid, N, zero_mean=False)
-    ik = _ik_arrays(grid)
+    ik = _lattice(d, grid.N).ik
 
     # F-layer: (a, u) -> (a, du/dx_1, ..., du/dx_d)
     terms1 = [(mask, _unit(D, 0, 0))]
     for i in range(d):
-        terms1.append((ik[i] * mask, _unit(D, 1 + i, 1)))
+        terms1.append((ik[..., i] * mask, _unit(D, 1 + i, 1)))
     L1 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms1, D, check=False), False)
 
     # sigma-layer: six sq_h units per product a * g_i
@@ -365,18 +358,9 @@ def darcy_nonlinearity_oracle(a: GridField, u: GridField) -> GridField:
     grid = a.grid
     if grid.N % 2 != 0:
         raise BadParameters("oracle expects fields on the doubled grid")
-    N = grid.N // 2
-    uhat = dft(u).coeffs[..., 0]
-    out = np.empty(grid.shape + (grid.d,))
-    mask = truncation_mask(grid, N, zero_mean=False)
-    for i in range(grid.d):
-        gi = idft(
-            SpectralCoeffs(grid, (1j * grid.modes()[i].astype(float) * uhat)[..., None])
-        )
-        prod = GridField(grid, a.values * gi.values)
-        ph = dft(prod).coeffs[..., 0] * mask
-        out[..., i] = idft(SpectralCoeffs(grid, ph[..., None])).values[..., 0]
-    return GridField(grid, out)
+    flux_hat = _flux_hat(a.values[..., 0], _fft_coeffs(u.values[..., 0], grid.d), grid.d)
+    flux_hat *= truncation_mask(grid, grid.N // 2)[..., None]
+    return GridField(grid, _ifft_values(flux_hat, grid.d).real)
 
 
 def build_nonlinearity_net_darcy(
@@ -399,12 +383,7 @@ def build_nonlinearity_net_darcy(
     used, which for large N*B may be unreachable in float64.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
-    if ranges is None:
-        env = l2_sup_bound(Grid(d, N), B)
-        ranges = (env, max(1.0, N) * env)
-    sup_in = 1.05 * max(ranges)
-    _ = ProductNetSpec(sup_in, eps, min(h0, 1.0), x0, act_tag)  # validates the gadget
-
+    _check_product_range(N, d, B, eps, ranges, h0, x0, act_tag)
     small = Grid(d, N)
     pairs = []
     for _i in range(probes):
@@ -413,24 +392,32 @@ def build_nonlinearity_net_darcy(
         a = GridField(small, a.values * (B / (l2_norm(a) or 1.0)))
         u = GridField(small, u.values * (B / (l2_norm(u) or 1.0)))
         pairs.append((resample(a, 2 * N), resample(u, 2 * N)))
-    targets = [darcy_nonlinearity_oracle(a2, u2) for a2, u2 in pairs]
+    return _calibrate_on_pairs(lambda h: _darcy_nonlin_net(N, d, h, act_tag, x0),
+                               darcy_nonlinearity_oracle, pairs, eps, h0)
 
-    h = min(h0, 1.0)
-    while h >= H_MIN:
-        net = _darcy_nonlin_net(N, d, h, act_tag, x0)
+
+def _check_product_range(N, d, B, eps, ranges, h0, x0, act_tag) -> None:
+    """Validate the product gadget over the pointwise ranges (default: the envelopes)."""
+    if ranges is None:
+        env = l2_sup_bound(Grid(d, N), B)
+        ranges = (env, max(1.0, N) * env)
+    ProductNetSpec(1.05 * max(ranges), eps, min(h0, 1.0), x0, act_tag)
+
+
+def _calibrate_on_pairs(build, oracle, pairs, eps: float, h0: float) -> PsiFno:
+    """Calibrate a two-input network to 0.5*eps in L^2 against oracle on probe pairs."""
+    targets = [oracle(x, y) for x, y in pairs]
+
+    def error(net: PsiFno) -> float:
         worst = 0.0
-        for (a2, u2), want in zip(pairs, targets):
-            inp = GridField(a2.grid, np.concatenate([a2.values, u2.values], axis=-1))
-            got = fno_forward(net, inp)
+        for (x, y), want in zip(pairs, targets):
+            got = fno_forward(net, GridField(x.grid, np.concatenate([x.values, y.values], -1)))
             worst = max(worst, l2_norm(GridField(got.grid, got.values - want.values)))
-        if worst <= 0.5 * eps:
-            net.meta["measured_error"] = worst
-            return net
-        h *= 0.5
-    raise CalibrationFailed(
-        f"darcy nonlinearity net cannot reach eps={eps:.1e} at N={N}, B={B} "
-        f"(pointwise range {sup_in:.2e})"
-    )
+        return worst
+
+    net, err = _calibrate(build, error, 0.5 * eps, min(h0, 1.0))
+    net.meta["measured_error"] = err
+    return net
 
 
 def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
@@ -439,9 +426,7 @@ def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     D = 6 * d * d
     mask = _mask(grid, N, zero_mean=False)
     mask_dot = _mask(grid, N, zero_mean=True)
-    ik = _ik_arrays(grid)
-    ks = _k_arrays(grid)
-    k2 = _ksq_safe(grid)
+    lat = _lattice(d, grid.N)
 
     # F-layer: (u, w) -> (u, dw_m/dx_i), gradient channels at d + i*d + m
     terms1 = []
@@ -450,7 +435,7 @@ def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     terms1.append((mask, passA))
     for i in range(d):
         for m in range(d):
-            terms1.append((ik[i] * mask, _unit(D, d + i * d + m, d + m)))
+            terms1.append((lat.ik[..., i] * mask, _unit(D, d + i * d + m, d + m)))
     L1 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms1, D, check=False), False)
 
     # sigma-layer: products u_i * g_{i,m}
@@ -469,7 +454,7 @@ def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     terms3 = [(mask_dot, C.astype(complex))]
     for m in range(d):
         for mp in range(d):
-            s = -(ks[m] * ks[mp] / k2) * mask_dot
+            s = -(lat.k[..., m] * lat.k[..., mp] * lat.inv_k2) * mask_dot
             A = np.zeros((D, D))
             A[m] = C[mp]
             terms3.append((s, A))
@@ -485,24 +470,13 @@ def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
 def ns_nonlinearity_oracle(u2: GridField, w2: GridField) -> GridField:
     """Exact PL_N(u . grad w) for band-limited inputs on the doubled grid."""
     grid = u2.grid
-    N = grid.N // 2
     d = grid.d
-    what = dft(w2).coeffs
-    grads = np.empty(grid.shape + (d, d))
-    for i in range(d):
-        for m in range(d):
-            gi = idft(
-                SpectralCoeffs(grid, (1j * grid.modes()[i].astype(float) * what[..., m])[..., None])
-            )
-            grads[..., i, m] = gi.values[..., 0]
-    adv = np.einsum("...i,...im->...m", u2.values, grads)
-    ahat = dft(GridField(grid, adv)).coeffs
-    mask = truncation_mask(grid, N, zero_mean=True)
-    ahat = ahat * mask[..., None]
-    from .navier_stokes import _leray_hat
-
-    ahat = _leray_hat(ahat, grid)
-    return idft(SpectralCoeffs(grid, ahat))
+    w_hat = _fft_coeffs(w2.values, d)
+    # grads[..., i, m] = d_i w_m
+    grads = _ifft_values(_lattice(d, grid.N).ik[..., :, None] * w_hat[..., None, :], d).real
+    adv_hat = _fft_coeffs(np.einsum("...i,...im->...m", u2.values, grads), d)
+    adv_hat *= truncation_mask(grid, grid.N // 2, zero_mean=True)[..., None]
+    return GridField(grid, _ifft_values(_leray_hat(adv_hat, grid), d).real)
 
 
 def build_ns_nonlinearity_net(
@@ -518,38 +492,18 @@ def build_ns_nonlinearity_net(
     x0: float = 1.0,
 ) -> PsiFno:
     """Network at resolution 2N mapping (u, w) to PL_N(u . grad w) within eps."""
-    rng = rng if rng is not None else np.random.default_rng(2)
-    if ranges is None:
-        env = l2_sup_bound(Grid(d, N), B)
-        ranges = (env, max(1.0, N) * env)
-    sup_in = 1.05 * max(ranges)
-    _ = ProductNetSpec(sup_in, eps, min(h0, 1.0), x0, act_tag)
-
     from .navier_stokes import random_divergence_free
 
+    rng = rng if rng is not None else np.random.default_rng(2)
+    _check_product_range(N, d, B, eps, ranges, h0, x0, act_tag)
     small = Grid(d, N)
     pairs = []
     for _i in range(probes):
         u = random_divergence_free(small, rng, norm=B)
         w = random_divergence_free(small, rng, norm=B)
         pairs.append((resample(u, 2 * N), resample(w, 2 * N)))
-    targets = [ns_nonlinearity_oracle(u2, w2) for u2, w2 in pairs]
-
-    h = min(h0, 1.0)
-    while h >= H_MIN:
-        net = _ns_nonlin_net(N, d, h, act_tag, x0)
-        worst = 0.0
-        for (u2, w2), want in zip(pairs, targets):
-            inp = GridField(u2.grid, np.concatenate([u2.values, w2.values], axis=-1))
-            got = fno_forward(net, inp)
-            worst = max(worst, l2_norm(GridField(got.grid, got.values - want.values)))
-        if worst <= 0.5 * eps:
-            net.meta["measured_error"] = worst
-            return net
-        h *= 0.5
-    raise CalibrationFailed(
-        f"NS nonlinearity net cannot reach eps={eps:.1e} at N={N}, B={B}"
-    )
+    return _calibrate_on_pairs(lambda h: _ns_nonlin_net(N, d, h, act_tag, x0),
+                               ns_nonlinearity_oracle, pairs, eps, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +535,6 @@ def build_darcy_emulator(
     until it falls below eps.
     """
     from . import darcy as darcy_mod
-
-    from .spectral import derivative
 
     rng = rng if rng is not None else np.random.default_rng(3)
     act = activation(act_tag)
@@ -617,14 +569,13 @@ def build_darcy_emulator(
     bias_field_vals = resample(inverse_laplacian(f_N), 2 * N).values
 
     mask_dot = _mask(grid, N, zero_mean=True)
-    ik = _ik_arrays(grid)
-    k2 = _ksq_safe(grid)
+    lat = _lattice(d, grid.N)
 
     def build(h: float, h_c: float) -> PsiFno:
         # block layer 1: (atilde, u) -> (Pdot_N atilde, grad u)
         terms1 = [(mask_dot, _unit(D, 0, 0))]
         for i in range(d):
-            terms1.append((ik[i] * mask_dot, _unit(D, 1 + i, 1)))
+            terms1.append((lat.ik[..., i] * mask_dot, _unit(D, 1 + i, 1)))
         L1 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms1, D, check=False), False)
 
         # block layer 2: products (atilde, g_i) + psi carry of atilde
@@ -646,7 +597,7 @@ def build_darcy_emulator(
         for i in range(d):
             A_i = np.zeros((D, D))
             A_i[1] = _product_combine(6 * i, denom, D)
-            terms3.append(((ik[i] / k2) * mask_dot, A_i.astype(complex)))
+            terms3.append(((lat.ik[..., i] * lat.inv_k2) * mask_dot, A_i.astype(complex)))
         bias_vals = np.zeros(grid.shape + (D,))
         bias_vals[..., 1] = bias_field_vals[..., 0]
         L3 = FnoLayer(
@@ -669,20 +620,23 @@ def build_darcy_emulator(
     budget = eps / (2.0 * K)
     h = min(0.25, float(np.sqrt(budget / (0.9 * max(sup_a + sup_g, 1.0) ** 4))))
     h_c = min(0.25, float(np.sqrt(3.0 * budget / max(sup_a, 1.0) ** 3)))
-    while h >= H_MIN and h_c >= H_MIN:
-        net = build(h, h_c)
-        worst = 0.0
-        for a, u_ref in zip(probes, solutions):
-            got = fno_forward(net, a)
-            worst = max(worst, darcy_mod.h1_error_against(got, resample(u_ref, 2 * N)))
-        if worst <= 0.7 * eps:
-            net.meta["measured_error"] = worst
-            return net
-        h *= 0.5
-        h_c *= 0.5
-    raise CalibrationFailed(
-        f"darcy emulator cannot reach eps={eps:.1e} at N={N} (ranges {sup_a:.2e}, {sup_g:.2e})"
+    refs = [resample(u_ref, 2 * N) for u_ref in solutions]
+    net, err = _calibrate(
+        _scaled(build, h, h_c),
+        lambda net: max(darcy_mod.h1_error_against(fno_forward(net, a), u_ref)
+                        for a, u_ref in zip(probes, refs)),
+        0.7 * eps, min(h, h_c),
     )
+    net.meta["measured_error"] = err
+    return net
+
+
+def _scaled(build, h: float, h_c: float):
+    """s -> build(h, h_c) with both steps scaled by s / min(h, h_c).
+
+    Halving s from min(h, h_c) halves both steps exactly, so s < H_MIN when either is."""
+    m = min(h, h_c)
+    return lambda s: build(h * (s / m), h_c * (s / m))
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +686,6 @@ def build_ns_emulator(
         finals.append(run.final.u)
         for st in run.states:
             sup_u = max(sup_u, float(np.max(np.abs(st.u.values))))
-            from .spectral import derivative
-
             for i in range(d):
                 for m in range(d):
                     sup_g = max(
@@ -751,11 +703,7 @@ def build_ns_emulator(
     sup_g = range_safety * max(2.0 * sup_g, 0.1)  # inner iterates reach ~2||u||
 
     mask_dot = _mask(grid, N, zero_mean=True)
-    ik = _ik_arrays(grid)
-    ks = _k_arrays(grid)
-    k2 = _ksq_safe(grid)
-    from .spectral import _mode_sq
-
+    lat = _lattice(d, grid.N)
     inv_helm = (mask_dot / (1.0 + nu * tau * _mode_sq(grid.d, grid.N))).astype(complex)
 
     def build(h: float, h_c: float) -> PsiFno:
@@ -770,7 +718,8 @@ def build_ns_emulator(
             if with_grads:
                 for i in range(d):
                     for m in range(d):
-                        terms.append((ik[i] * mask_dot, _unit(D, 2 * d + i * d + m, d + m)))
+                        terms.append((lat.ik[..., i] * mask_dot,
+                                      _unit(D, 2 * d + i * d + m, d + m)))
             return FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms, D, check=False), False)
 
         # sigma-layer: products u_i * g_{i,m} plus psi carry of u
@@ -809,7 +758,7 @@ def build_ns_emulator(
         ]
         for m in range(d):
             for mp in range(d):
-                s = tau * inv_helm * (ks[m] * ks[mp] / k2)
+                s = tau * inv_helm * (lat.k[..., m] * lat.k[..., mp] * lat.inv_k2)
                 A = np.zeros((D, D))
                 A[d + m] = adv[mp]
                 terms3.append((s, A.astype(complex)))
@@ -834,33 +783,20 @@ def build_ns_emulator(
     budget = eps_total / (n_T * kap * Lambda)
     h = min(0.25, float(np.sqrt(budget / (0.9 * max(sup_u + sup_g, 1.0) ** 4))))
     h_c = min(0.25, float(np.sqrt(3.0 * budget / max(sup_u, 1.0) ** 3)))
-    while h >= H_MIN and h_c >= H_MIN:
-        net = build(h, h_c)
-        worst = 0.0
-        for u0, u_ref in zip(probes, finals):
-            got = fno_forward(net, u0)
-            diff = GridField(got.grid, got.values - resample(u_ref, 2 * N).values)
-            worst = max(worst, l2_norm(diff))
-        if worst <= 0.7 * eps_total:
-            net.meta["measured_error"] = worst
-            return net
-        h *= 0.5
-        h_c *= 0.5
-    raise CalibrationFailed(
-        f"NS emulator cannot reach eps={eps_total:.1e} (n_T={n_T}, kappa0={kap})"
+    refs = [resample(u_ref, 2 * N) for u_ref in finals]
+    net, err = _calibrate(
+        _scaled(build, h, h_c),
+        lambda net: max(l2_norm(GridField(grid, fno_forward(net, u0).values - u_ref.values))
+                        for u0, u_ref in zip(probes, refs)),
+        0.7 * eps_total, min(h, h_c),
     )
+    net.meta["measured_error"] = err
+    return net
 
 
 # ---------------------------------------------------------------------------
 # Fourier-coefficient networks: field -> constant (Re, Im) channels and back
 # ---------------------------------------------------------------------------
-
-
-def mode_index_list(grid: Grid) -> np.ndarray:
-    """All wavenumbers k in K_N as an (|K_N|, d) array, lexicographic -N..N."""
-    axes = [np.arange(-grid.N, grid.N + 1)] * grid.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _phase_fields(grid: Grid) -> tuple:
@@ -916,16 +852,9 @@ def _ft_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     const = 2.0 * act(x0) / denom
     for t in range(K):
         r = 8 * t
-        prod_cos = np.zeros(D)
-        prod_cos[[r, r + 1, r + 2, r + 3, 8 * K, 8 * K + 1]] = (
-            np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]) / denom
-        )
-        prod_sin = np.zeros(D)
-        prod_sin[[r + 4, r + 5, r + 6, r + 7, 8 * K, 8 * K + 1]] = (
-            np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]) / denom
-        )
-        C[2 * t] = prod_cos        # Re(v_k) = mean( v cos<k,x> )
-        C[2 * t + 1] = -prod_sin   # Im(v_k) = -mean( v sin<k,x> )
+        # Re(v_k) = mean( v cos<k,x> ),  Im(v_k) = -mean( v sin<k,x> )
+        C[2 * t, [r, r + 1, r + 2, r + 3, 8 * K, 8 * K + 1]] = _SQ_SIGNS / denom
+        C[2 * t + 1, [r + 4, r + 5, r + 6, r + 7, 8 * K, 8 * K + 1]] = -_SQ_SIGNS / denom
         bias2[2 * t] = const
         bias2[2 * t + 1] = -const
     L2 = FnoLayer(
@@ -976,20 +905,18 @@ def build_ft_emulator(
         c = dft(v).coeffs[..., 0].ravel()
         targets.append(np.stack([c.real, c.imag], axis=-1).ravel())
 
-    h = min(h0, 1.0)
-    while h >= H_MIN:
-        net = _ft_net(N, d, h, act_tag, x0)
+    def error(net: PsiFno) -> float:
         worst = 0.0
         for v, want in zip(fields, targets):
             out = fno_forward(net, v).values
-            got = out.reshape(-1, out.shape[-1]).mean(axis=0)  # constant channels
-            worst = max(worst, float(np.max(np.abs(got - want))))
-            worst = max(worst, float(np.max(np.std(out.reshape(-1, out.shape[-1]), axis=0))))
-        if worst <= 0.5 * eps:
-            net.meta["measured_error"] = worst
-            return net
-        h *= 0.5
-    raise CalibrationFailed(f"coefficient-extraction net cannot reach eps={eps:.1e}")
+            flat = out.reshape(-1, out.shape[-1])
+            worst = max(worst, float(np.max(np.abs(flat.mean(axis=0) - want))))  # constant channels
+            worst = max(worst, float(np.max(np.std(flat, axis=0))))
+        return worst
+
+    net, err = _calibrate(lambda h: _ft_net(N, d, h, act_tag, x0), error, 0.5 * eps, min(h0, 1.0))
+    net.meta["measured_error"] = err
+    return net
 
 
 def _ift_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
@@ -1023,9 +950,7 @@ def _ift_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     for t in range(K):
         for ell, sign in ((0, 1.0), (1, -1.0)):  # v = sum_k Re_k cos - Im_k sin
             r = 12 * t + 6 * ell
-            combine[0, [r, r + 1, r + 2, r + 3, r + 4, r + 5]] += (
-                sign * np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]) / denom
-            )
+            combine[0, r : r + 6] += sign * _SQ_SIGNS / denom
             const += sign * 2.0 * act(x0) / denom
     L2 = FnoLayer(D, combine, np.concatenate([[const], np.zeros(D - 1)]), None, False)
 
@@ -1065,18 +990,14 @@ def build_ift_emulator(
         w_field = GridField(grid, np.broadcast_to(w, grid.shape + w.shape).copy())
         pairs.append((w_field, v))
 
-    h = min(h0, 1.0)
-    while h >= H_MIN:
-        net = _ift_net(N, d, h, act_tag, x0)
-        worst = 0.0
-        for w_field, v in pairs:
-            got = fno_forward(net, w_field)
-            worst = max(worst, l2_norm(GridField(grid, got.values - v.values)))
-        if worst <= 0.5 * eps:
-            net.meta["measured_error"] = worst
-            return net
-        h *= 0.5
-    raise CalibrationFailed(f"coefficient-synthesis net cannot reach eps={eps:.1e}")
+    net, err = _calibrate(
+        lambda h: _ift_net(N, d, h, act_tag, x0),
+        lambda net: max(l2_norm(GridField(grid, fno_forward(net, w).values - v.values))
+                        for w, v in pairs),
+        0.5 * eps, min(h0, 1.0),
+    )
+    net.meta["measured_error"] = err
+    return net
 
 
 def fourier_conjugate_pipeline(inner: PsiFno, ft: PsiFno, ift: PsiFno) -> PsiFno:

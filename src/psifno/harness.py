@@ -284,15 +284,18 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
         raise ConfigInvalid("the convergence oracle requires taylor-green initial data")
     enforce_cfl = bool(params.get("enforce_cfl", False))
     rng = np.random.default_rng(seed)
+    checkpoint_dir = params.get("checkpoint_dir")
 
-    def one(tau):
+    def one(row):
+        i, tau = row
         t0 = time.perf_counter()
         u0 = _ns_initial(init, N, nu, rng)
         cfg = ns.NsConfig(d=2, N=N, nu=nu, T=T, tau=tau, U=U, u0=u0,
                           enforce_cfl=enforce_cfl)
+        # one subdirectory per row, so rows never share a checkpoint file
         run = ns.simulate(cfg, scheme,
                           checkpoint_every=params.get("checkpoint_every"),
-                          checkpoint_dir=params.get("checkpoint_dir"))
+                          checkpoint_dir=checkpoint_dir and f"{checkpoint_dir}/tau_{i:02d}")
         exact = ns.taylor_green(nu, T, N, amplitude=init.get("amplitude", 1.0))
         err = l2_norm(GridField(u0.grid, run.final.u.values - exact.values))
         kap = ns.kappa0(T, tau, order=1 if scheme == "first" else 2)
@@ -302,7 +305,7 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
             "seconds": time.perf_counter() - t0,
         }
 
-    rows = _fan_out(taus, one, jobs)
+    rows = _fan_out(list(enumerate(taus)), one, jobs)
     band = (0.8, 1.2) if scheme == "first" else (1.7, 2.3)
     slope = fit_rate([1.0 / t for t in taus], [r["err_L2_final"] for r in rows])
     summary = {

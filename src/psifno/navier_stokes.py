@@ -42,6 +42,8 @@ from .spectral import (
     SpectralCoeffs,
     _fft_coeffs,
     _ifft_values,
+    _lattice,
+    _leray_hat,
     _mode_sq,
     _pad_or_fold,
     dft,
@@ -143,43 +145,22 @@ def initial_state(config: NsConfig) -> NsState:
     return NsState(0, config.u0, l2_norm(config.u0))
 
 
-def _leray_hat(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero-mean divergence-free projection on a centered coefficient array."""
-    ks = [kk.astype(float) for kk in grid.modes()]
-    k2 = _mode_sq(grid.d, grid.N).copy()
-    center = (grid.N,) * grid.d
-    k2[center] = 1.0
-    kdot = np.zeros(grid.shape, dtype=complex)
-    for axis in range(grid.d):
-        kdot += ks[axis] * coeffs[..., axis]
-    kdot /= k2
-    out = np.empty_like(coeffs)
-    for axis in range(grid.d):
-        out[..., axis] = coeffs[..., axis] - ks[axis] * kdot
-    out[center + (slice(None),)] = 0.0
-    return out
-
-
 class _Advection:
     """hat(w) -> hat( PL_N( v . grad w ) ), with v cached on the doubled grid."""
 
     def __init__(self, v: GridField):
         self.grid = v.grid
         g = self.grid
-        self.big = Grid(g.d, 2 * g.N)
         self._v2 = resample(v, 2 * g.N).values
-        self._ik_big = [1j * kk.astype(float) for kk in self.big.modes()]
+        self._ik_big = _lattice(g.d, 2 * g.N).ik[..., :, None]
         self._center = tuple(slice(g.N, 3 * g.N + 1) for _ in range(g.d))
 
     def apply_hat(self, w_hat: np.ndarray) -> np.ndarray:
         g = self.grid
         d = g.d
         big_hat = _pad_or_fold(w_hat, d, g.N, 2 * g.N)
-        grads_hat = np.empty(self.big.shape + (d * d,), dtype=complex)
-        for i in range(d):
-            for m in range(d):
-                grads_hat[..., i * d + m] = self._ik_big[i] * big_hat[..., m]
-        grads = _ifft_values(grads_hat, d).reshape(self.big.shape + (d, d))
+        # grads[..., i, m] = d_i w_m on the doubled grid
+        grads = _ifft_values(self._ik_big * big_hat[..., None, :], d).real
         adv = np.einsum("...i,...im->...m", self._v2, grads)
         adv_hat = _fft_coeffs(adv, d)[self._center]
         return _leray_hat(adv_hat, g)

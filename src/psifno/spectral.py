@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,12 +89,50 @@ def _mode_mesh(d: int, N: int) -> list:
 
 @lru_cache(maxsize=None)
 def _mode_sq(d: int, N: int) -> np.ndarray:
-    """|k|^2 on the centered mode lattice, shape (2N+1,)*d."""
+    """|k|^2 on the centered mode lattice, shape (2N+1,)*d (read-only, cached)."""
     ks = _mode_mesh(d, N)
     out = np.zeros((2 * N + 1,) * d)
     for kk in ks:
         out = out + kk.astype(float) ** 2
+    out.setflags(write=False)
     return out
+
+
+class _Lattice(NamedTuple):
+    """Mode arrays on the centered lattice; ik and k carry a trailing axis of length d."""
+
+    ik: np.ndarray      # i*k, the derivative multipliers
+    inv_k2: np.ndarray  # 1/|k|^2, with 0 at k = 0
+
+    @property
+    def k(self) -> np.ndarray:
+        return self.ik.imag
+
+
+@lru_cache(maxsize=None)
+def _lattice(d: int, N: int) -> _Lattice:
+    """Cached lattice arrays, shared by every caller and therefore read-only."""
+    k = np.stack(np.broadcast_arrays(*(kk.astype(float) for kk in _mode_mesh(d, N))), axis=-1)
+    k2 = _mode_sq(d, N)
+    lat = _Lattice(1j * k, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0))
+    for arr in lat:
+        arr.setflags(write=False)
+    return lat
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i]; a loop, as numpy reduces a short last axis slowly."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def mode_index_list(grid: Grid) -> np.ndarray:
+    """All wavenumbers k in K_N as an (|K_N|, d) array, lexicographic -N..N."""
+    axes = [np.arange(-grid.N, grid.N + 1)] * grid.d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -172,10 +211,6 @@ class SobolevIndex:
             raise BadParameters(f"Sobolev order must be finite and >= 0, got {self.s}")
 
 
-def _spatial_axes(d: int) -> tuple:
-    return tuple(range(d))
-
-
 def dft(f: GridField) -> SpectralCoeffs:
     """Forward transform; normalization (2N+1)^-d on this side, none on idft.
 
@@ -183,22 +218,20 @@ def dft(f: GridField) -> SpectralCoeffs:
     antisymmetric residue of the FFT (pure round-off) is projected out,
     making the symmetry invariant hold exactly.
     """
-    g = f.grid
-    axes = _spatial_axes(g.d)
-    c = np.fft.fftn(f.values, axes=axes) / g.size
-    c = np.fft.fftshift(c, axes=axes)
+    axes = tuple(range(f.grid.d))
+    c = _fft_coeffs(f.values, f.grid.d)
     c = 0.5 * (c + np.conj(np.flip(c, axis=axes)))
-    return SpectralCoeffs(g, c, real_field=True)
+    return SpectralCoeffs(f.grid, c, real_field=True)
 
 
 def idft(c: SpectralCoeffs, require_real: bool = True) -> GridField:
     """Inverse transform f_j = sum_k c_k exp(i<x_j,k>); returns the real part.
 
     Raises HermitianViolation when a real field is requested but the
-    coefficients fail conjugate symmetry beyond tolerance.
+    coefficients fail conjugate symmetry beyond tolerance, or the inverse
+    transform leaves an imaginary residue beyond IMAG_RESIDUE_RTOL.
     """
     g = c.grid
-    axes = _spatial_axes(g.d)
     if require_real:
         defect = hermitian_defect(c.coeffs, g.d)
         scale = np.max(np.abs(c.coeffs)) or 1.0
@@ -207,23 +240,23 @@ def idft(c: SpectralCoeffs, require_real: bool = True) -> GridField:
                 f"cannot produce a real field: symmetry defect {defect:.3e} "
                 f"(scale {scale:.3e})"
             )
-    unshifted = np.fft.ifftshift(c.coeffs, axes=axes)
-    v = np.fft.ifftn(unshifted, axes=axes) * g.size
+    v = _ifft_values(c.coeffs, g.d)
     if require_real:
         imag = np.max(np.abs(v.imag))
         scale = np.max(np.abs(v.real)) or 1.0
-        assert imag <= IMAG_RESIDUE_RTOL * scale + 1e-14, (
-            f"imaginary residue {imag:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} relative"
-        )
+        if imag > IMAG_RESIDUE_RTOL * scale + 1e-14:
+            raise HermitianViolation(
+                f"imaginary residue {imag:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} relative"
+            )
     return GridField(g, v.real)
 
 
 def _fft_coeffs(values: np.ndarray, d: int) -> np.ndarray:
-    """Unvalidated forward transform of real grid values (centered order).
+    """Forward transform kernel: centered coefficients of grid values, unchecked.
 
-    Internal hot-path helper: skips the symmetrization and invariant checks
-    of dft(); the round-off antisymmetry is harmless where this is used
-    because results return to grid space through a final real part.
+    Transforms the first d axes; trailing axes are batched.  dft() adds the
+    symmetrization; hot paths that return to grid space through a real part
+    call this directly, where the round-off antisymmetry is harmless.
     """
     axes = tuple(range(d))
     n = values.shape[0] ** d
@@ -231,10 +264,27 @@ def _fft_coeffs(values: np.ndarray, d: int) -> np.ndarray:
 
 
 def _ifft_values(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """Unvalidated inverse transform; returns the real part."""
+    """Inverse transform kernel: complex grid values of centered coefficients, unchecked.
+
+    The field is the real part; for conjugate-symmetric input the imaginary
+    part is round-off, which idft() bounds.
+    """
     axes = tuple(range(d))
-    n = coeffs.shape[0] ** d
-    return np.fft.ifftn(np.fft.ifftshift(coeffs, axes=axes), axes=axes).real * n
+    v = np.fft.ifftn(np.fft.ifftshift(coeffs, axes=axes), axes=axes)
+    v *= coeffs.shape[0] ** d
+    return v
+
+
+def _flux_hat(a: np.ndarray, u_hat: np.ndarray, d: int) -> np.ndarray:
+    """hat(a * d_i u) for every axis i, shape u_hat.shape + (d,), unchecked kernels.
+
+    a holds grid values and u_hat the centered coefficients of a scalar
+    field on the same grid.  The product is pointwise, so it is exact only
+    when the grid resolves its band (the doubled grid for degree-N factors).
+    """
+    N = (u_hat.shape[0] - 1) // 2
+    grads = _ifft_values(_lattice(d, N).ik * u_hat[..., None], d).real
+    return _fft_coeffs(grads * a[..., None], d)
 
 
 def truncation_mask(grid: Grid, M: int, zero_mean: bool = False) -> np.ndarray:
@@ -309,9 +359,7 @@ def derivative(f: GridField, axis: int) -> GridField:
     g = f.grid
     if not 0 <= axis < g.d:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {g.d}")
-    c = dft(f)
-    kk = g.modes()[axis].astype(float)
-    out = c.coeffs * (1j * kk)[..., None]
+    out = dft(f).coeffs * _lattice(g.d, g.N).ik[..., axis, None]
     return idft(SpectralCoeffs(g, out, real_field=True))
 
 
@@ -325,11 +373,7 @@ def divergence(u: GridField) -> GridField:
     g = u.grid
     if u.channels != g.d:
         raise DimensionMismatch(f"divergence needs {g.d} channels, got {u.channels}")
-    c = dft(u)
-    ks = g.modes()
-    out = np.zeros(g.shape + (1,), dtype=complex)
-    for axis in range(g.d):
-        out[..., 0] += (1j * ks[axis].astype(float)) * c.coeffs[..., axis]
+    out = _dot(_lattice(g.d, g.N).ik, dft(u).coeffs)[..., None]
     return idft(SpectralCoeffs(g, out, real_field=True))
 
 
@@ -356,6 +400,15 @@ def dealiased_product(u: GridField, v: GridField) -> GridField:
     return idft(SpectralCoeffs(g, out, real_field=True))
 
 
+def _leray_hat(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Per mode k != 0 apply 1 - k k^T/|k|^2 to a centered coefficient array; kill k=0."""
+    lat = _lattice(grid.d, grid.N)
+    kdot = _dot(lat.k, coeffs) * lat.inv_k2
+    out = coeffs - lat.k * kdot[..., None]
+    out[(grid.N,) * grid.d] = 0.0
+    return out
+
+
 def leray_project(u: GridField) -> GridField:
     """Leray-Fourier projection: per mode k != 0 apply 1 - k k^T/|k|^2, kill k=0.
 
@@ -365,20 +418,7 @@ def leray_project(u: GridField) -> GridField:
     g = u.grid
     if u.channels != g.d:
         raise DimensionMismatch(f"Leray projection needs {g.d} channels, got {u.channels}")
-    c = dft(u)
-    ks = [kk.astype(float) for kk in g.modes()]
-    k2 = _mode_sq(g.d, g.N).copy()
-    center = (g.N,) * g.d
-    k2[center] = 1.0  # avoid 0/0; the k=0 mode is zeroed below
-    kdotc = np.zeros(g.shape, dtype=complex)
-    for axis in range(g.d):
-        kdotc += ks[axis] * c.coeffs[..., axis]
-    kdotc /= k2
-    out = np.empty_like(c.coeffs)
-    for axis in range(g.d):
-        out[..., axis] = c.coeffs[..., axis] - ks[axis] * kdotc
-    out[center + (slice(None),)] = 0.0
-    return idft(SpectralCoeffs(g, out, real_field=True))
+    return idft(SpectralCoeffs(g, _leray_hat(dft(u).coeffs, g), real_field=True))
 
 
 def sobolev_norm(f: GridField, idx: "SobolevIndex | float", homogeneous: bool = False) -> float:
@@ -416,12 +456,7 @@ def mean(f: GridField) -> np.ndarray:
 def inverse_laplacian(f: GridField) -> GridField:
     """Zero-mean solution of -Lap(u) = f - mean(f): multiplier 1/|k|^2, k != 0."""
     g = f.grid
-    c = dft(f)
-    k2 = _mode_sq(g.d, g.N).copy()
-    center = (g.N,) * g.d
-    k2[center] = 1.0
-    out = c.coeffs / k2[..., None]
-    out[center + (slice(None),)] = 0.0
+    out = dft(f).coeffs * _lattice(g.d, g.N).inv_k2[..., None]
     return idft(SpectralCoeffs(g, out, real_field=True))
 
 
@@ -447,9 +482,7 @@ def evaluate(f: GridField, points: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"points must have {g.d} columns, got {pts.shape[1]}")
     c = dft(f)
     flat = c.coeffs.reshape(-1, c.channels)
-    k_list = np.stack([kk.ravel() for kk in np.meshgrid(
-        *([np.arange(-g.N, g.N + 1)] * g.d), indexing="ij")], axis=-1)
-    phases = np.exp(1j * pts @ k_list.T.astype(float))
+    phases = np.exp(1j * pts @ mode_index_list(g).T.astype(float))
     return np.real(phases @ flat)
 
 

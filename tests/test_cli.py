@@ -166,6 +166,30 @@ class TestCliRuns:
             results.append([",".join(r.split(",")[:-1]) for r in rows])
         assert results[0] == results[1]
 
+    def test_ns_converge_checkpoints_per_row(self, tmp_path):
+        from psifno import navier_stokes as ns
+        from psifno.fieldio import load_field
+
+        taus, T, ckpt = [0.04, 0.02], 0.08, tmp_path / "ckpt"
+        cfg = write_config(tmp_path, "ns-converge", {
+            "d": 2, "N": 8, "nu": 0.05, "T": T, "U": 4.5, "tau_list": taus,
+            "scheme": "first", "init": {"kind": "taylor-green"}, "enforce_cfl": False,
+            "checkpoint_every": 1, "checkpoint_dir": str(ckpt),
+        })
+        main(["ns-converge", "--config", str(cfg), "--out", str(tmp_path / "out"),
+              "--jobs", "2"])
+        expected = set()
+        for i, tau in enumerate(taus):
+            u0 = ns.taylor_green(0.05, 0.0, 8)
+            run = ns.simulate(ns.NsConfig(d=2, N=8, nu=0.05, T=T, tau=tau, U=4.5, u0=u0,
+                                          enforce_cfl=False), "first", record_states=True)
+            for st in run.states[1:]:
+                base = f"tau_{i:02d}/state_{st.step:06d}"
+                expected.add(base + ".bin")
+                assert np.array_equal(load_field(ckpt / base).values, st.u.values)
+        written = {p.relative_to(ckpt).as_posix() for p in ckpt.rglob("*.bin")}
+        assert written == expected and len(expected) == 2 + 4
+
 
 class TestPropertySuite:
     def test_all_pass(self, tmp_path):

@@ -126,6 +126,7 @@ class TestSerialization:
         pts = np.array([[0.3], [5.1]])
         assert rel_err(again.evaluate(a, pts), export.evaluate(a, pts)) < 1e-12
         assert again.p == export.p
+        assert again.B_bar == export.B_bar
 
     def test_json_descriptor_fields(self, tmp_path):
         import json

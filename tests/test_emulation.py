@@ -4,7 +4,9 @@ import pytest
 from psifno import darcy as dm
 from psifno import navier_stokes as ns
 from psifno.emulation import (
+    H_MIN,
     AffineApproxSpec,
+    _calibrate,
     ProductNetSpec,
     build_affine_approx,
     build_darcy_emulator,
@@ -39,6 +41,26 @@ from helpers import rel_err
 def unit_ball_field(grid, rng, norm=1.0, channels=1):
     v = idft(random_hermitian_coeffs(grid, rng, channels=channels))
     return GridField(grid, v.values * (norm / (l2_norm(v) or 1.0)))
+
+
+class TestCalibrate:
+    def test_returns_first_step_meeting_target(self):
+        tried = []
+
+        def build(h):
+            tried.append(h)
+            return ("net", h)
+
+        net, err = _calibrate(build, lambda net: net[1], 0.1, 0.5)
+        assert tried == [0.5, 0.25, 0.125, 0.0625]
+        assert net == ("net", 0.0625) and err == 0.0625
+
+    def test_raises_once_h_falls_below_h_min(self):
+        tried = []
+        with pytest.raises(CalibrationFailed):
+            _calibrate(lambda h: tried.append(h) or h, lambda net: 1.0, 0.5, 1.0)
+        assert tried == [2.0**-j for j in range(41)]
+        assert tried[-1] == H_MIN
 
 
 class TestProductNet:

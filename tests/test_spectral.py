@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,30 @@ class TestDft:
         with pytest.raises(HermitianViolation):
             idft(c)
 
+    def test_idft_rejects_imaginary_residue(self):
+        # symmetry defect 4e-10 passes the 1e-9 check; imaginary residue 4e-10 does not
+        g = Grid(1, 4)
+        coeffs = np.zeros(g.shape + (1,), dtype=complex)
+        coeffs[centered_index(g, 0) + (0,)] = 1.0
+        coeffs[centered_index(g, 1) + (0,)] = 2e-10j
+        coeffs[centered_index(g, -1) + (0,)] = 2e-10j
+        with pytest.raises(HermitianViolation):
+            idft(SpectralCoeffs(g, coeffs, real_field=False))
+
+    def test_imaginary_residue_guard_survives_optimize_flag(self):
+        code = (
+            "import numpy as np\n"
+            "from psifno.errors import HermitianViolation\n"
+            "from psifno.spectral import Grid, SpectralCoeffs, idft\n"
+            "c = np.zeros((9, 1), dtype=complex); c[4] = 1.0; c[3] = c[5] = 2e-10j\n"
+            "try:\n"
+            "    idft(SpectralCoeffs(Grid(1, 4), c, real_field=False))\n"
+            "except HermitianViolation:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.stdout.strip() == "raised", proc.stderr
+
     def test_idft_of_single_mode_pair(self):
         g = Grid(1, 3)
         coeffs = np.zeros(g.shape + (1,), dtype=complex)
@@ -123,6 +150,22 @@ class TestDft:
         f = idft(SpectralCoeffs(g, coeffs))
         expected = np.cos(g.axis_coordinates())[:, None]
         assert rel_err(f.values, expected) < 1e-13
+
+
+class TestModeLattice:
+    def test_arrays_match_modes_and_are_read_only(self):
+        from psifno.spectral import _lattice
+
+        g = Grid(2, 3)
+        lat = _lattice(g.d, g.N)
+        for axis, kk in enumerate(g.modes()):
+            assert np.array_equal(lat.k[..., axis], np.broadcast_to(kk, g.shape))
+        k2 = sum(kk.astype(float) ** 2 for kk in g.modes())
+        assert lat.inv_k2[centered_index(g, 0, 0)] == 0.0
+        assert np.allclose(lat.inv_k2 * k2, np.where(k2 > 0, 1.0, 0.0), rtol=0, atol=1e-15)
+        for arr in (lat.ik, lat.k, lat.inv_k2):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
 
 
 class TestProject:
