@@ -15,13 +15,15 @@ a verified sup bound ||e_j - tau_j|| <= eps / B_bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .emulation import DenseNet
 from .errors import BadParameters, DimensionMismatch
-from .fno import PsiFno, activation, layer_forward
+from .fno import FnoLayer, PsiFno, activation, fno_forward, layer_forward, load_model, save_model
 from .spectral import (
     Grid,
     GridField,
@@ -145,8 +147,6 @@ def _layer_dense(layer, grid: Grid, act) -> tuple:
     d_v = layer.d_v
     n = grid.size * d_v
     zero = GridField(grid, np.zeros(grid.shape + (d_v,)))
-    from .fno import FnoLayer
-
     bare = FnoLayer(d_v, layer.weight, layer.bias, layer.multiplier, False)
     c = layer_forward(bare, zero, act).values.reshape(-1)
     M = np.empty((n, n))
@@ -159,19 +159,17 @@ def _layer_dense(layer, grid: Grid, act) -> tuple:
     return M, c
 
 
-def to_deeponet(net: PsiFno, B: float, rng=None, norm_probes: int = 20) -> DeepOnetExport:
-    """Exact branch/trunk factorization of a grid network.
+def _export(net: PsiFno, B, B_bar: float) -> DeepOnetExport:
+    """Exact branch/trunk factorization of a grid network, with B and B_bar as given.
 
     The branch is the network's grid computation with the output layer
     composed with the change of basis to the real trigonometric basis, so
     the pairing with the analytic trunk reproduces the network at every
-    point of the torus.  B enters only through the reported bound
-    B_bar = (2N+1)^d * sup ||net(a)||_{L^2} over ||a||_inf <= B probes.
+    point of the torus.  Deterministic: no probes, no randomness.
     """
-    rng = rng if rng is not None else np.random.default_rng(11)
     grid = net.grid
     act = activation(net.activation)
-    d_v, d_a, d_u = net.d_v, net.d_a, net.d_u
+    d_u = net.d_u
     size = grid.size
 
     def block_pointwise(mat):
@@ -209,16 +207,6 @@ def to_deeponet(net: PsiFno, B: float, rng=None, norm_probes: int = 20) -> DeepO
     layers.append((basis_M, np.zeros(basis_M.shape[0]), False))
     branch = DenseNet(tuple(layers), net.activation)
 
-    sup_out = 0.0
-    from .fno import fno_forward
-
-    for _ in range(norm_probes):
-        a = idft(random_hermitian_coeffs(grid, rng, channels=d_a))
-        sup_a = float(np.max(np.abs(a.values))) or 1.0
-        a = GridField(grid, a.values * (B / sup_a))
-        sup_out = max(sup_out, l2_norm(fno_forward(net, a)))
-    B_bar = grid.size * sup_out
-
     x = grid.axis_coordinates()
     mesh = np.meshgrid(*([x] * grid.d), indexing="ij")
     sensors = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -229,8 +217,25 @@ def to_deeponet(net: PsiFno, B: float, rng=None, norm_probes: int = 20) -> DeepO
         branch=branch,
         trunk=basis,
         B_bar=B_bar,
-        meta={"B": B, "source_depth": net.depth, "source_width": d_v * size},
+        meta={"B": B, "source_depth": net.depth, "source_width": net.d_v * size},
     )
+
+
+def to_deeponet(net: PsiFno, B: float, rng=None, norm_probes: int = 20) -> DeepOnetExport:
+    """Exact branch/trunk factorization of a grid network (see _export).
+
+    B enters only through the reported bound
+    B_bar = (2N+1)^d * sup ||net(a)||_{L^2} over ||a||_inf <= B probes.
+    """
+    rng = rng if rng is not None else np.random.default_rng(11)
+    grid = net.grid
+    sup_out = 0.0
+    for _ in range(norm_probes):
+        a = idft(random_hermitian_coeffs(grid, rng, channels=net.d_a))
+        sup_a = float(np.max(np.abs(a.values))) or 1.0
+        a = GridField(grid, a.values * (B / sup_a))
+        sup_out = max(sup_out, l2_norm(fno_forward(net, a)))
+    return _export(net, B, grid.size * sup_out)
 
 
 def gram_defect(export: DeepOnetExport, oversample: int = 4) -> float:
@@ -317,11 +322,6 @@ def save_deeponet(export: DeepOnetExport, net: PsiFno, base_path) -> None:
     payload on load and B_bar is read back from the descriptor, so only the
     descriptor and the source model are stored.
     """
-    import json
-    from pathlib import Path
-
-    from .fno import save_model
-
     base = Path(base_path)
     base.parent.mkdir(parents=True, exist_ok=True)
     model_path = base.with_suffix(".psifno")
@@ -341,14 +341,21 @@ def save_deeponet(export: DeepOnetExport, net: PsiFno, base_path) -> None:
 
 
 def load_deeponet(base_path) -> DeepOnetExport:
-    import json
-    from pathlib import Path
+    """Read what save_deeponet wrote: the branch is rebuilt, B_bar and B are read back.
 
-    from .fno import load_model
-
+    No network is evaluated on probes; the descriptor's p, d_u and trunk are
+    checked against the rebuilt export, and BadParameters is raised when
+    the descriptor is unreadable or disagrees.
+    """
     base = Path(base_path)
-    doc = json.loads(base.with_suffix(".deeponet.json").read_text())
-    net = load_model(base.parent / doc["branch"]["psifno"])
-    export = to_deeponet(net, B=doc.get("B") or 1.0)
-    # B_bar is a probe estimate drawn from an RNG; the saved value is authoritative
-    return replace(export, B_bar=float(doc["B_bar"]))
+    try:
+        doc = json.loads(base.with_suffix(".deeponet.json").read_text())
+        model, B, B_bar = base.parent / doc["branch"]["psifno"], doc.get("B"), float(doc["B_bar"])
+        trunk = tuple(TrunkFunction(fn["kind"], tuple(fn["k"]), fn["scale"]) for fn in doc["trunk"])
+        shape = (doc["p"], doc["d_u"], trunk)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BadParameters(f"{base}: malformed DeepONet descriptor ({exc!r})") from None
+    export = _export(load_model(model), B, B_bar)
+    if shape != (export.p, export.d_u, export.trunk):
+        raise BadParameters(f"{base}: descriptor does not match the rebuilt branch/trunk")
+    return export

@@ -18,12 +18,23 @@ resampled on entry.
 Multipliers P(k) are stored in factored form sum_t s_t(k) * A_t with
 scalar mode arrays s_t over |k|_inf <= W and constant matrices A_t.  Real
 outputs for real inputs are guaranteed by the conjugacy condition
-P(-k) = conj(P(k)), checked entrywise at construction.
+P(-k) = conj(P(k)), checked entrywise at construction, at load, and once
+per layer when the forward compiles it.
+
+The forward runs each layer as a step compiled on first use at a grid and
+cached on the layer: the input is contracted pointwise onto the few
+vectors the multiplier reads (F(v) A^T = F(v A^T)), those are sent through
+the real half-spectrum transforms, multiplied by mode arrays summed once
+per (vector, output row) pair, and only the live rows come back to grid
+space.  The half spectrum stands for its conjugate-symmetric extension,
+which is why conjugacy must hold.  SpectralCoeffs and
+FourierMultiplier.apply keep working on the full centered spectrum.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +43,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import BadParameters, DimensionMismatch, UnknownActivation
-from .spectral import Grid, GridField, SpectralCoeffs, dft, idft, resample
+from .spectral import Grid, GridField, _half_layout, _irfft_values, _rfft_half, resample
 
 MAGIC = b"PSIFNO1\n"
 MULTIPLIER_SYM_RTOL = 1e-12
@@ -110,11 +121,22 @@ class FourierMultiplier:
             self._check_conjugacy()
 
     def _check_conjugacy(self):
-        """P(-k) must equal conj(P(k)) entrywise, so real fields map to real fields."""
+        """P(-k) must equal conj(P(k)) entrywise, so real fields map to real fields.
+
+        With every A_t real the defect at entry (r, c) is at most
+        sum_t |A_t[r, c]| max_k |s_t(-k) - conj(s_t(k))|; when that bound
+        meets the tolerance the dense per-mode check is skipped.
+        """
         axes = tuple(range(self.d))
         scale = max((np.max(np.abs(s)) * np.max(np.abs(A)) for s, A in self.terms), default=0.0)
         if scale == 0.0:
             return
+        tol = MULTIPLIER_SYM_RTOL * scale
+        if all(not np.any(A.imag) for _, A in self.terms):
+            bound = sum(np.max(np.abs(np.flip(s, axis=axes) - np.conj(s))) * np.abs(A.real)
+                        for s, A in self.terms)
+            if np.max(bound) <= tol:  # False for NaN, which the dense check rejects
+                return
         chunk = max(1, min(self.d_v, 2_000_000 // (self.size_modes * self.d_v + 1)))
         for lo in range(0, self.d_v, chunk):
             hi = min(self.d_v, lo + chunk)
@@ -122,7 +144,7 @@ class FourierMultiplier:
             for s, A in self.terms:
                 block = block + s[..., None, None] * A[lo:hi, :]
             defect = np.max(np.abs(np.flip(block, axis=axes) - np.conj(block)))
-            if defect > MULTIPLIER_SYM_RTOL * scale:
+            if not defect <= tol:
                 raise BadParameters(
                     f"multiplier breaks conjugacy: defect {defect:.3e} vs scale {scale:.3e}"
                 )
@@ -179,6 +201,8 @@ class FnoLayer:
     bias        : None, a constant (d_v,) vector, or a GridField with d_v channels
     multiplier  : FourierMultiplier or None
     apply_activation : skip for a pure F-/affine layer
+
+    layer_forward caches the layer's compiled step per grid in _steps.
     """
 
     d_v: int
@@ -186,6 +210,7 @@ class FnoLayer:
     bias: object = None
     multiplier: FourierMultiplier | None = None
     apply_activation: bool = True
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight is not None:
@@ -222,29 +247,125 @@ class FnoLayer:
         return FnoLayer(d_v, w, b, m, self.apply_activation)
 
 
-def _layer_affine(layer: FnoLayer, v: GridField) -> np.ndarray:
-    """W v + conv(v), without bias or activation."""
-    if v.channels != layer.d_v:
-        raise DimensionMismatch(f"layer expects {layer.d_v} channels, got {v.channels}")
-    pre = np.zeros_like(v.values)
-    if layer.weight is not None:
-        pre += v.values @ layer.weight.T
-    if layer.multiplier is not None:
-        c = dft(v)
-        conv_hat = layer.multiplier.apply(c.coeffs, v.grid.N)
-        pre += idft(SpectralCoeffs(v.grid, conv_hat, real_field=True)).values
-    return pre
+def _live(mask: np.ndarray):
+    """Indices where mask holds, or a full slice when it holds everywhere."""
+    idx = np.flatnonzero(mask)
+    return slice(None) if idx.size == mask.size else idx
+
+
+class _Convolution:
+    """x -> F^-1(P F x) on the live output rows, through real half-spectrum transforms.
+
+    The input is first contracted pointwise, z = x M^T (F(x) A^T = F(x A^T)).
+    For real A_t the rows of M are the distinct nonzero rows of the A_t and
+    the mode array of pair (r, j) sums the s_t of every term whose row r is
+    M[j]; otherwise, or when that gives more vectors than there are live
+    input channels, M selects the live channels and the pair's mode array
+    is the per-mode matrix entry P(k)[r, c].  Pair p adds
+    modes[..., p] * F(z)[..., pick[p]] to its row; pairs are sorted by row
+    and starts marks each row's first pair.
+    """
+
+    def __init__(self, mult: FourierMultiplier, grid: Grid):
+        if mult.d != grid.d:
+            raise DimensionMismatch(f"multiplier dimension {mult.d}, grid {grid.d}")
+        if mult.mode_radius > grid.N:
+            raise DimensionMismatch(
+                f"multiplier radius {mult.mode_radius} exceeds resolution {grid.N}")
+        mult._check_conjugacy()
+        terms = [(s, A) for s, A in mult.terms if np.any(A != 0)]
+        used = np.zeros((mult.d_v, mult.d_v), dtype=bool)
+        for _, A in terms:
+            used |= A != 0
+        cols = np.flatnonzero(used.any(axis=0))
+        pairs, vectors = {}, {}
+        real = all(not np.any(A.imag) for _, A in terms)
+        if real:
+            for s, A in terms:
+                for r in np.flatnonzero(np.any(A.real != 0, axis=1)):
+                    j = vectors.setdefault(A.real[r].tobytes(), len(vectors))
+                    pairs[r, j] = pairs[r, j] + s if (r, j) in pairs else s
+            M = np.array([np.frombuffer(v) for v in vectors]).reshape(-1, mult.d_v)
+        if not real or len(vectors) > cols.size:
+            pairs = {}
+            for s, A in terms:
+                for r, j in zip(*np.nonzero(A[:, cols])):
+                    term = s * A[r, cols[j]]
+                    pairs[r, j] = pairs[r, j] + term if (r, j) in pairs else term
+            M = np.eye(mult.d_v)[cols]
+        keys = sorted(pairs)
+        self.size = len(keys)
+        if not keys:
+            return
+        row_of = np.array([r for r, _ in keys])
+        self.rows = np.unique(row_of)
+        self.starts = np.searchsorted(row_of, self.rows)
+        self.pick = np.array([j for _, j in keys])
+        self.M = M
+        self.modes = _half_layout(np.stack([pairs[k] for k in keys], axis=-1), grid.d, grid.N)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out[..., rows] += F^-1(P F x) for grid values x."""
+        d = self.modes.ndim - 1
+        z_hat = _rfft_half(x @ self.M.T, d)
+        prod = z_hat[..., self.pick] * self.modes
+        if self.rows.size < self.size:
+            prod = np.add.reduceat(prod, self.starts, axis=-1)
+        out[..., self.rows] += _irfft_values(prod, d)
+
+
+class _LayerStep:
+    """An FnoLayer compiled for one grid: W v + b + F^-1(P F v), pre-activation.
+
+    The weight keeps only its nonzero rows and columns, the convolution
+    only its live rows (see _Convolution).  Conjugacy of P is checked when
+    the step compiles, since the real transforms are exact only when it
+    holds.
+    """
+
+    def __init__(self, layer: "FnoLayer", grid: Grid):
+        if isinstance(layer.bias, GridField) and layer.bias.grid != grid:
+            raise DimensionMismatch("bias field lives on a different grid")
+        self.bias = layer.bias.values if isinstance(layer.bias, GridField) else layer.bias
+        self.weight = None
+        if layer.weight is not None and np.any(layer.weight != 0):
+            nz = layer.weight != 0
+            rows, cols = _live(nz.any(axis=1)), _live(nz.any(axis=0))
+            self.weight = (rows, cols, layer.weight[rows][:, cols].T)
+        self.conv = None
+        if layer.multiplier is not None:
+            conv = _Convolution(layer.multiplier, grid)
+            self.conv = conv if conv.size else None
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if self.weight is None:
+            pre = np.zeros_like(v)
+        else:
+            rows, cols, wt = self.weight
+            if isinstance(rows, slice):
+                pre = v[..., cols] @ wt
+            else:
+                pre = np.zeros_like(v)
+                pre[..., rows] = v[..., cols] @ wt
+        if self.conv is not None:
+            self.conv(v, pre)
+        if self.bias is not None:
+            pre += self.bias
+        return pre
 
 
 def layer_forward(layer: FnoLayer, v: GridField, act: Activation) -> GridField:
-    """Evaluate one layer on grid values (exact; FFT-based convolution)."""
-    pre = _layer_affine(layer, v)
-    if isinstance(layer.bias, GridField):
-        if layer.bias.grid != v.grid:
-            raise DimensionMismatch("bias field lives on a different grid")
-        pre += layer.bias.values
-    elif layer.bias is not None:
-        pre += layer.bias
+    """Evaluate one layer on grid values (exact; FFT-based convolution).
+
+    The layer is compiled for v's grid on first use and the step is cached
+    on the layer, so repeated layers and repeated calls share it.
+    """
+    if v.channels != layer.d_v:
+        raise DimensionMismatch(f"layer expects {layer.d_v} channels, got {v.channels}")
+    step = layer._steps.get(v.grid)
+    if step is None:
+        step = layer._steps[v.grid] = _LayerStep(layer, v.grid)
+    pre = step(v.values)
     out = act(pre) if layer.apply_activation else pre
     return GridField(v.grid, out)
 
@@ -452,45 +573,84 @@ def save_model(net: PsiFno, path) -> None:
             fh.write(p)
 
 
+def _header_int(obj: dict, key: str, minimum: int) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise BadParameters(f"header field {key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def load_model(path) -> PsiFno:
+    """Read a PSIFNO1 file written by save_model.
+
+    Raises BadParameters on a foreign file, a header that is cut short, not
+    JSON or missing fields, a payload whose length differs from what the
+    header describes, non-finite values, or a multiplier that breaks
+    conjugacy, so a bad file fails here rather than mid-forward.
+    """
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise BadParameters(f"{path}: not a PSIFNO1 model file")
-    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
     off = len(MAGIC) + 8
-    header = json.loads(raw[off : off + hlen].decode())
-    off += hlen
-    buf = memoryview(raw)
+    if len(raw) < off:
+        raise BadParameters(f"{path}: file ends inside the header length field")
+    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    if hlen > len(raw) - off:
+        raise BadParameters(f"{path}: header of {hlen} bytes runs past the end of the file")
+    try:
+        header = json.loads(raw[off : off + hlen].decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise BadParameters(f"{path}: header is not JSON ({exc})") from None
+    try:
+        return _model_from_header(header, memoryview(raw), off + hlen)
+    except (KeyError, TypeError) as exc:
+        raise BadParameters(f"{path}: malformed header ({exc!r})") from None
+    except BadParameters as exc:
+        raise BadParameters(f"{path}: {exc}") from None
 
-    def take(count, dtype):
+
+def _model_from_header(header: dict, buf: memoryview, off: int) -> PsiFno:
+    def take(shape, dtype):
         nonlocal off
-        itemsize = np.dtype(dtype).itemsize
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off).copy()
-        off += count * itemsize
-        return arr
+        count = math.prod(shape)
+        end = off + count * np.dtype(dtype).itemsize
+        if end > len(buf):
+            raise BadParameters(f"payload ends at byte {len(buf)}, the header needs {end}")
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise BadParameters(f"non-finite payload values at byte {off}")
+        off = end
+        return arr.copy()
 
-    d, N = header["d"], header["N"]
-    d_a, d_v, d_u = header["d_a"], header["d_v"], header["d_u"]
+    d, N = _header_int(header, "d", 1), _header_int(header, "N", 1)
+    d_a, d_v, d_u = (_header_int(header, key, 1) for key in ("d_a", "d_v", "d_u"))
+    descs = header["layers"]
+    if not isinstance(descs, list) or len(descs) != _header_int(header, "L", 0):
+        raise BadParameters("header field 'layers' must list L layer descriptors")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise BadParameters("header field 'meta' must be an object")
     grid = Grid(d, N)
-    R = take(d_v * d_a, "<f8").reshape(d_v, d_a)
-    Q = take(d_u * d_v, "<f8").reshape(d_u, d_v)
+    R = take((d_v, d_a), "<f8")
+    Q = take((d_u, d_v), "<f8")
     layers = []
-    for desc in header["layers"]:
-        w = take(d_v * d_v, "<f8").reshape(d_v, d_v) if desc["has_weight"] else None
+    for i, desc in enumerate(descs):
+        w = take((d_v, d_v), "<f8") if desc["has_weight"] else None
+        kind = desc["bias"]
+        if kind not in ("none", "field", "const"):
+            raise BadParameters(f"layer {i}: unknown bias kind {kind!r}")
         bias = None
-        if desc["bias"] == "field":
-            bias = GridField(grid, take(grid.size * d_v, "<f8").reshape(grid.shape + (d_v,)))
-        elif desc["bias"] == "const":
-            bias = take(d_v, "<f8")
+        if kind == "field":
+            bias = GridField(grid, take(grid.shape + (d_v,), "<f8"))
+        elif kind == "const":
+            bias = take((d_v,), "<f8")
         mult = None
         if desc["multiplier"] is not None:
-            W = desc["multiplier"]["mode_radius"]
-            mshape = (2 * W + 1,) * d
-            terms = []
-            for _ in range(desc["multiplier"]["n_terms"]):
-                s = take(int(np.prod(mshape)), "<c16").reshape(mshape)
-                A = take(d_v * d_v, "<c16").reshape(d_v, d_v)
-                terms.append((s, A))
-            mult = FourierMultiplier(d, W, terms, d_v, check=False)
+            W = _header_int(desc["multiplier"], "mode_radius", 0)
+            terms = [(take((2 * W + 1,) * d, "<c16"), take((d_v, d_v), "<c16"))
+                     for _ in range(_header_int(desc["multiplier"], "n_terms", 0))]
+            mult = FourierMultiplier(d, W, terms, d_v)  # checks conjugacy
         layers.append(FnoLayer(d_v, w, bias, mult, desc["apply_activation"]))
-    return PsiFno(grid, R, tuple(layers), Q, header["activation"], meta=header.get("meta", {}))
+    if off != len(buf):
+        raise BadParameters(f"{len(buf) - off} bytes follow the payload the header describes")
+    return PsiFno(grid, R, tuple(layers), Q, header["activation"], meta=meta)

@@ -1,14 +1,17 @@
 """Shared slow-but-independent oracles used across the test suite.
 
-Everything here is written against the definitions directly (explicit
-sums, direct convolution), so it cannot share bugs with the FFT-based
-implementation paths it checks.
+Most of what is here is written against the definitions directly
+(explicit sums, direct convolution), so it cannot share bugs with the
+FFT-based implementation paths it checks.  The reference network
+evaluator is the full-spectrum path the compiled forward replaced: it
+shares only the checked public transforms with the package.
 """
 
 import numpy as np
 from scipy.signal import convolve
 
-from psifno.spectral import Grid, GridField
+from psifno.fno import activation
+from psifno.spectral import Grid, GridField, SpectralCoeffs, dft, idft, resample
 
 
 def mode_list(grid: Grid) -> np.ndarray:
@@ -62,3 +65,33 @@ def rel_err(a, b) -> float:
     b = np.asarray(b)
     denom = max(np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / denom)
+
+
+def reference_layer_forward(layer, v: GridField, act) -> GridField:
+    """One layer on the full centered spectrum: dft, FourierMultiplier.apply, idft.
+
+    Every channel is transformed and every term applied on the full
+    (d_v, d_v) matrices, with the conjugate-symmetry checks of dft/idft.
+    """
+    pre = np.zeros_like(v.values)
+    if layer.weight is not None:
+        pre += v.values @ layer.weight.T
+    if layer.multiplier is not None:
+        conv_hat = layer.multiplier.apply(dft(v).coeffs, v.grid.N)
+        pre += idft(SpectralCoeffs(v.grid, conv_hat, real_field=True)).values
+    if isinstance(layer.bias, GridField):
+        pre += layer.bias.values
+    elif layer.bias is not None:
+        pre += layer.bias
+    return GridField(v.grid, act(pre) if layer.apply_activation else pre)
+
+
+def reference_forward(net, a: GridField) -> GridField:
+    """fno_forward through reference_layer_forward."""
+    if a.grid.N != net.grid.N:
+        a = resample(a, net.grid.N)
+    act = activation(net.activation)
+    v = GridField(net.grid, a.values @ net.lifting.T)
+    for layer in net.layers:
+        v = reference_layer_forward(layer, v, act)
+    return GridField(net.grid, v.values @ net.projection.T)

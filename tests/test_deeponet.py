@@ -128,6 +128,45 @@ class TestSerialization:
         assert again.p == export.p
         assert again.B_bar == export.B_bar
 
+    def test_load_rebuilds_branch_without_forwards(self, tmp_path, monkeypatch):
+        import psifno.deeponet
+        import psifno.fno
+
+        g = Grid(2, 2)
+        rng = np.random.default_rng(7)
+        net = small_random_net(g, rng)
+        export = to_deeponet(net, B=1.5, rng=rng)
+        save_deeponet(export, net, tmp_path / "model")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("load_deeponet ran fno_forward")
+
+        monkeypatch.setattr(psifno.fno, "fno_forward", no_forward)
+        monkeypatch.setattr(psifno.deeponet, "fno_forward", no_forward)
+        again = load_deeponet(tmp_path / "model")
+        assert len(again.branch.layers) == len(export.branch.layers)
+        for (M1, c1, act1), (M2, c2, act2) in zip(again.branch.layers, export.branch.layers):
+            assert np.array_equal(M1, M2) and np.array_equal(c1, c2) and act1 == act2
+        assert again.trunk == export.trunk
+        assert again.meta == export.meta
+        assert np.array_equal(again.sensor_points, export.sensor_points)
+
+    def test_descriptor_mismatch_rejected(self, tmp_path):
+        import json
+
+        g = Grid(1, 2)
+        net = identity_net(g)
+        save_deeponet(to_deeponet(net, B=1.0), net, tmp_path / "model")
+        path = tmp_path / "model.deeponet.json"
+        doc = json.loads(path.read_text())
+        doc["trunk"] = doc["trunk"][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadParameters):
+            load_deeponet(tmp_path / "model")
+        path.write_text("{not json")
+        with pytest.raises(BadParameters):
+            load_deeponet(tmp_path / "model")
+
     def test_json_descriptor_fields(self, tmp_path):
         import json
 

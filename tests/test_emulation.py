@@ -35,7 +35,7 @@ from psifno.spectral import (
     resample,
 )
 
-from helpers import rel_err
+from helpers import reference_forward, rel_err
 
 
 def unit_ball_field(grid, rng, norm=1.0, channels=1):
@@ -455,6 +455,38 @@ class TestBuilderOutputsValidate:
         out2 = layer_forward(L1, GridField(g2, state2), activation(net.activation))
         want2 = idft(project(dft(rough), N, zero_mean=True))
         assert np.max(np.abs(out2.values[..., 0] - want2.values[..., 0])) <= 1e-12
+
+
+class TestCompiledForwardOnEmulators:
+    """Compiled forward against the full-spectrum reference on both solver emulators.
+
+    The two evaluators differ only in round-off, which the sq_h gadget
+    amplifies: an ulp eps of a sigma-layer input x0 + h*y (x0 = 1) moves
+    each of a product's 6 sigma terms by sigma'(x0) eps ~ 0.42 eps, and the
+    product divides by 2 h^2 |sigma''(x0)| ~ 1.28 h^2, so about 2 eps/h^2 per
+    product; d = 2 products per block and K = depth/3 blocks (each a
+    contraction) give the bound 4 K eps / h^2.
+    """
+
+    @staticmethod
+    def bound(net) -> float:
+        return 4 * (net.depth // 3) * np.finfo(float).eps / net.meta["h"] ** 2
+
+    def test_darcy(self, darcy_emulator_small):
+        net, f, N, lam, k = darcy_emulator_small
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            a = dm.random_decay_coefficient(2, 2 * N, lam, rng)
+            got = fno_forward(net, a).values
+            assert np.max(np.abs(got - reference_forward(net, a).values)) <= self.bound(net)
+
+    def test_navier_stokes(self, small):
+        net, cfg = small
+        for i in range(3):
+            v0 = ns.random_divergence_free(Grid(2, cfg.N), np.random.default_rng(50 + i),
+                                           norm=0.8 * cfg.U)
+            got = fno_forward(net, v0).values
+            assert np.max(np.abs(got - reference_forward(net, v0).values)) <= self.bound(net)
 
 
 class TestStrictMode:

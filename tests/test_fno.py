@@ -1,3 +1,7 @@
+import struct
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,7 +31,7 @@ from psifno.spectral import (
     resample,
 )
 
-from helpers import naive_dft, naive_idft, rel_err
+from helpers import naive_dft, naive_idft, reference_forward, reference_layer_forward, rel_err
 
 
 def derivative_multiplier(grid: Grid, d_v: int, src: int, dst_first: int) -> FourierMultiplier:
@@ -381,3 +385,203 @@ class TestSerialization:
         path.write_bytes(b"NOTPSIFNO")
         with pytest.raises(BadParameters):
             load_model(path)
+
+
+class TestLoadHardening:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        g = Grid(2, 3)
+        net = random_net(g, np.random.default_rng(60), d_a=2, d_v=3, d_u=2, depth=2)
+        path = tmp_path / "model.psifno"
+        save_model(net, path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [0, 5, 12, 16, 100, "half", -1])
+    def test_truncated_file(self, saved, cut):
+        path, raw = saved
+        end = {"half": len(raw) // 2}.get(cut, cut)
+        path.write_bytes(raw[:end])
+        with pytest.raises(BadParameters):
+            load_model(path)
+
+    def test_trailing_bytes(self, saved):
+        path, raw = saved
+        path.write_bytes(raw + b"\0" * 16)
+        with pytest.raises(BadParameters):
+            load_model(path)
+
+    @staticmethod
+    def _rewrite(raw: bytes, edit) -> bytes:
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        header = edit(raw[16 : 16 + hlen])
+        return raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + hlen :]
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"\xff" + h[1:],                                  # not UTF-8
+        lambda h: h[:-1],                                            # JSON cut short
+        lambda h: b"[]",                                             # not an object
+        lambda h: h.replace(b'"d_v": 3', b'"d_v": "3"'),             # wrong type
+        lambda h: h.replace(b'"d_v": 3', b'"d_v": -3'),              # negative count
+        lambda h: h.replace(b'"d_v": 3', b'"d_v": 4'),               # payload mismatch
+        lambda h: h.replace(b'"bias": "field"', b'"bias": "grid"'),  # unknown bias kind
+        lambda h: h.replace(b'"n_terms": 2', b'"n_terms": 3'),       # payload too short
+        lambda h: h.replace(b'"L": 2', b'"L": 3'),                   # layer count
+    ])
+    def test_garbled_header(self, saved, edit):
+        path, raw = saved
+        garbled = self._rewrite(raw, edit)
+        assert garbled != raw
+        path.write_bytes(garbled)
+        with pytest.raises(BadParameters):
+            load_model(path)
+
+    def test_header_length_past_end(self, saved):
+        path, raw = saved
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(raw)) + raw[16:])
+        with pytest.raises(BadParameters):
+            load_model(path)
+
+    def test_non_finite_payload(self, saved):
+        path, raw = saved
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        off = 16 + hlen  # first lifting entry
+        path.write_bytes(raw[:off] + struct.pack("<d", np.nan) + raw[off + 8 :])
+        with pytest.raises(BadParameters):
+            load_model(path)
+
+    def test_non_conjugate_multiplier_rejected_at_load(self, tmp_path):
+        path = tmp_path / "bad.psifno"
+        save_model(non_conjugate_net(Grid(2, 2)), path)
+        with pytest.raises(BadParameters, match="conjugacy"):
+            load_model(path)
+
+    def test_conjugacy_guards_survive_optimize_flag(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from psifno.errors import BadParameters\n"
+            "from psifno.fno import FnoLayer, FourierMultiplier, PsiFno, fno_forward, "
+            "load_model, save_model\n"
+            "from psifno.spectral import Grid, GridField\n"
+            "g = Grid(2, 2)\n"
+            "s = np.zeros(g.shape, dtype=complex); s[3, 2] = 1.0\n"
+            "m = FourierMultiplier(2, 2, [(s, np.eye(1))], 1, check=False)\n"
+            "net = PsiFno(g, np.eye(1), (FnoLayer(1, None, None, m, False),), np.eye(1))\n"
+            "save_model(net, sys.argv[1])\n"
+            "for call in (lambda: load_model(sys.argv[1]),\n"
+            "             lambda: fno_forward(net, GridField(g, np.ones(g.shape + (1,))))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except BadParameters:\n"
+            "        print('raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path / "bad.psifno")],
+                              capture_output=True, text=True)
+        assert proc.stdout.split() == ["raised", "raised"], proc.stderr
+
+
+def hermitian_modes(d: int, W: int, rng) -> np.ndarray:
+    """Random conjugate-symmetric mode array over |k|_inf <= W."""
+    shape = (2 * W + 1,) * d
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(d)))))
+
+
+def complex_matrix_multiplier(d: int, W: int, d_v: int, rng) -> FourierMultiplier:
+    """P(k) = h(k)(B + iC) + conj(h(-k))(B - iC): conjugate-symmetric with complex A_t."""
+    h = rng.standard_normal((2 * W + 1,) * d) + 1j * rng.standard_normal((2 * W + 1,) * d)
+    A = (rng.standard_normal((d_v, d_v)) + 1j * rng.standard_normal((d_v, d_v))) / d_v
+    h_bar = np.conj(np.flip(h, axis=tuple(range(d))))
+    return FourierMultiplier(d, W, [(h, A), (h_bar, np.conj(A))], d_v)
+
+
+def non_conjugate_net(grid: Grid) -> PsiFno:
+    """One-layer net whose multiplier breaks P(-k) = conj(P(k)), built unchecked."""
+    s = np.zeros(grid.shape, dtype=complex)
+    s[(grid.N + 1,) + (grid.N,) * (grid.d - 1)] = 1.0  # k = e_1 without its partner -e_1
+    mult = FourierMultiplier(grid.d, grid.N, [(s, np.eye(1))], 1, check=False)
+    return PsiFno(grid, np.eye(1), (FnoLayer(1, None, None, mult, False),), np.eye(1))
+
+
+CASES = [(1, 2, 3), (1, 8, 2), (1, 16, 2), (2, 3, 2), (2, 7, 1), (3, 1, 2), (3, 2, 1)]
+
+
+class TestCompiledForward:
+    """The compiled half-spectrum step against the full-spectrum reference evaluator."""
+
+    @pytest.mark.parametrize("apply_activation", [True, False])
+    @pytest.mark.parametrize("d,N,d_v", CASES)
+    def test_layer_matches_reference(self, d, N, d_v, apply_activation):
+        g = Grid(d, N)
+        rng = np.random.default_rng(3 * d + N)
+        v = random_field(g, rng, channels=d_v)
+        layer = random_layer(g, d_v, rng, apply_activation)
+        act = activation("tanh")
+        want = reference_layer_forward(layer, v, act).values
+        assert rel_err(layer_forward(layer, v, act).values, want) < 1e-12
+
+    @pytest.mark.parametrize("d,N,d_v", CASES)
+    def test_narrow_and_complex_multipliers(self, d, N, d_v):
+        # W < N zero-pads into the half spectrum; complex A_t take the
+        # per-mode-matrix path and the dense conjugacy check
+        g = Grid(d, N)
+        rng = np.random.default_rng(100 + 3 * d + N)
+        v = random_field(g, rng, channels=d_v)
+        act = activation("gelu")
+        W = N // 2
+        narrow = FourierMultiplier(d, W, [(hermitian_modes(d, W, rng),
+                                           rng.standard_normal((d_v, d_v)))], d_v)
+        for mult in (narrow, complex_matrix_multiplier(d, W, d_v, rng),
+                     complex_matrix_multiplier(d, N, d_v, rng)):
+            layer = FnoLayer(d_v, None, np.full(d_v, 0.1), mult, True)
+            want = reference_layer_forward(layer, v, act).values
+            assert rel_err(layer_forward(layer, v, act).values, want) < 1e-12
+
+    def test_shared_rows_are_contracted_before_the_transform(self):
+        # three gradient rows read one vector: one channel is transformed
+        g = Grid(2, 5)
+        layer = FnoLayer(4, None, None, derivative_multiplier(g, 4, 0, 1), False)
+        v = random_field(g, np.random.default_rng(30), channels=4)
+        act = activation("tanh")
+        got = layer_forward(layer, v, act).values
+        assert rel_err(got, reference_layer_forward(layer, v, act).values) < 1e-12
+        conv = layer._steps[g].conv
+        assert conv.M.shape == (1, 4) and list(conv.rows) == [1, 2]
+
+    @pytest.mark.parametrize("d,N", [(1, 4), (2, 3), (3, 2)])
+    def test_networks_match_reference(self, d, N):
+        g = Grid(d, N)
+        rng = np.random.default_rng(40 + d)
+        A = random_net(g, rng, d_a=2, d_v=3, d_u=1, depth=2)
+        B = random_net(g, rng, d_a=1, d_v=4, d_u=2, depth=1)
+        comp = compose(A, B)  # padded layers and a right-multiplied multiplier
+        for net in (A, B, comp):
+            a = random_field(g, rng, channels=net.d_a)
+            want = reference_forward(net, a).values
+            assert rel_err(fno_forward(net, a).values, want) < 1e-12
+            for M in (N - 1, 2 * N + 1):  # inputs resampled from another resolution
+                a = random_field(Grid(d, M), rng, channels=net.d_a)
+                want = reference_forward(net, a).values
+                assert rel_err(fno_forward(net, a).values, want) < 1e-12
+
+    def test_repeated_layers_compile_once(self):
+        g = Grid(1, 4)
+        rng = np.random.default_rng(50)
+        layer = random_layer(g, 2, rng)
+        net = PsiFno(g, np.ones((2, 1)), (layer,) * 5, np.ones((1, 2)))
+        fno_forward(net, random_field(g, rng))
+        step = layer._steps[g]
+        fno_forward(net, random_field(g, rng))
+        assert list(layer._steps) == [g] and layer._steps[g] is step
+
+    def test_radius_beyond_resolution_raises(self):
+        rng = np.random.default_rng(51)
+        layer = random_layer(Grid(1, 4), 1, rng)
+        with pytest.raises(DimensionMismatch):
+            layer_forward(layer, random_field(Grid(1, 2), rng), activation("tanh"))
+
+    def test_non_conjugate_multiplier_fails_at_forward(self):
+        g = Grid(2, 2)
+        net = non_conjugate_net(g)
+        with pytest.raises(BadParameters):
+            fno_forward(net, random_field(g, np.random.default_rng(52)))
