@@ -2,8 +2,14 @@
 
 Writes <out>/<kind>.csv with a fixed header (see docs/csv-schemas.md) and
 <out>/<kind>_summary.json with per-criterion pass flags, slopes and
-tolerances.  Exit code 0 iff every criterion passed.  Identical
-config+seed produce byte-identical CSVs on one platform.
+tolerances.  Identical config+seed produce byte-identical CSVs on one
+platform.  Exit codes:
+
+    0  every criterion passed
+    1  the run finished and at least one criterion failed
+    2  a package error (PsifnoError: invalid config, bad parameters, ...)
+       or a command-line usage error
+    3  an internal error: any other exception, reported on one stderr line
 """
 
 from __future__ import annotations
@@ -66,16 +72,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = load_config(args.config)
-        if doc["kind"] != args.kind:
-            raise ConfigInvalid(
-                f"config is for {doc['kind']!r} but subcommand is {args.kind!r}"
-            )
-        seed = args.seed if args.seed is not None else int(doc["seed"])
-        rows, summary = run_experiment(args.kind, doc["params"], seed, jobs=args.jobs)
+        return _run(args)
     except PsifnoError as exc:
         print(f"psifno: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # kept apart from 1, which means "criterion failed"
+        print(f"psifno: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(args) -> int:
+    doc = load_config(args.config)
+    if doc["kind"] != args.kind:
+        raise ConfigInvalid(
+            f"config is for {doc['kind']!r} but subcommand is {args.kind!r}"
+        )
+    seed = args.seed if args.seed is not None else int(doc["seed"])
+    rows, summary = run_experiment(args.kind, doc["params"], seed, jobs=args.jobs)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -23,12 +23,12 @@ import numpy as np
 
 from .emulation import DenseNet
 from .errors import BadParameters, DimensionMismatch
-from .fno import FnoLayer, PsiFno, activation, fno_forward, layer_forward, load_model, save_model
+from .fno import FnoLayer, PsiFno, activation, layer_forward, load_model, save_model
+from .fno import fno_forward  # noqa: F401  (tests patch it here to show loading runs no forward)
 from .spectral import (
     Grid,
     GridField,
     idft,
-    l2_norm,
     mode_index_list,
     random_hermitian_coeffs,
 )
@@ -69,35 +69,6 @@ def trigonometric_basis(grid: Grid) -> tuple:
         fns.append(TrunkFunction("cos", tuple(int(v) for v in k), c1))
         fns.append(TrunkFunction("sin", tuple(int(v) for v in k), c1))
     return tuple(fns)
-
-
-def _grid_to_basis_matrix(grid: Grid, basis: tuple) -> np.ndarray:
-    """Matrix taking grid values (flattened) to coefficients in the basis.
-
-    Row j of the result extracts the coefficient of e_j via the discrete
-    transform (exact for band-limited fields).
-    """
-    ks = mode_index_list(grid)
-    index_of = {tuple(int(v) for v in k): i for i, k in enumerate(ks)}
-    # DFT matrix: coeff_k = (1/|J|) sum_j exp(-i<x_j, k>) v_j
-    from .emulation import _phase_fields
-
-    cosf, sinf, _ = _phase_fields(grid)
-    size = grid.size
-    rows = []
-    d = grid.d
-    for fn in basis:
-        k = fn.k
-        t = index_of[k]
-        re_row = cosf[t].ravel() / size
-        im_row = -sinf[t].ravel() / size
-        if fn.kind == "const":
-            rows.append(re_row * (TWO_PI) ** (d / 2.0))
-        elif fn.kind == "cos":
-            rows.append(np.sqrt(2.0) * (TWO_PI) ** (d / 2.0) * re_row)
-        else:
-            rows.append(-np.sqrt(2.0) * (TWO_PI) ** (d / 2.0) * im_row)
-    return np.stack(rows, axis=0)
 
 
 @dataclass
@@ -143,20 +114,26 @@ class DeepOnetExport:
 
 
 def _layer_dense(layer, grid: Grid, act) -> tuple:
-    """Dense (matrix, bias) of one layer's pre-activation map on flat values."""
-    d_v = layer.d_v
-    n = grid.size * d_v
-    zero = GridField(grid, np.zeros(grid.shape + (d_v,)))
+    """Dense (matrix, bias) of one layer's pre-activation map on flat values.
+
+    The linear part W v + F^-1(P F v) commutes with grid shifts, so the
+    response to an impulse at grid point j is the response to the impulse
+    at the origin shifted by j, index (i - j) mod (2N+1) per axis: d_v + 1
+    layer evaluations give every column.
+    """
+    d_v, d = layer.d_v, grid.d
     bare = FnoLayer(d_v, layer.weight, layer.bias, layer.multiplier, False)
-    c = layer_forward(bare, zero, act).values.reshape(-1)
-    M = np.empty((n, n))
-    probe = np.zeros(n)
-    for j in range(n):
-        probe[j] = 1.0
-        v = GridField(grid, probe.reshape(grid.shape + (d_v,)))
-        M[:, j] = layer_forward(bare, v, act).values.reshape(-1) - c
-        probe[j] = 0.0
-    return M, c
+    c = layer_forward(bare, GridField(grid, np.zeros(grid.shape + (d_v,))), act).values
+    idx = np.indices(grid.shape).reshape(d, -1)
+    shift = np.ravel_multi_index(tuple((x[:, None] - x[None, :]) % grid.shape[0] for x in idx),
+                                 grid.shape)
+    M = np.empty((grid.size, d_v, grid.size, d_v))  # M[i, r, j, col]
+    for col in range(d_v):
+        impulse = np.zeros(grid.shape + (d_v,))
+        impulse[(0,) * d + (col,)] = 1.0
+        g = (layer_forward(bare, GridField(grid, impulse), act).values - c).reshape(-1, d_v)
+        M[..., col] = g[shift].transpose(0, 2, 1)
+    return M.reshape(grid.size * d_v, grid.size * d_v), c.reshape(-1)
 
 
 def _export(net: PsiFno, B, B_bar: float) -> DeepOnetExport:
@@ -172,49 +149,33 @@ def _export(net: PsiFno, B, B_bar: float) -> DeepOnetExport:
     d_u = net.d_u
     size = grid.size
 
-    def block_pointwise(mat):
-        # pointwise channel map as a block matrix on flat (j, channel) layout
-        rows, cols = mat.shape
-        M = np.zeros((size * rows, size * cols))
-        for r in range(rows):
-            for cc in range(cols):
-                idx_r = np.arange(size) * rows + r
-                idx_c = np.arange(size) * cols + cc
-                M[idx_r, idx_c] = mat[r, cc]
-        return M
-
+    # pointwise channel maps act on the flat (j, channel) layout as kron(I, mat)
+    lift_M, out_M = (np.kron(np.eye(size), mat) for mat in (net.lifting, net.projection))
     layers = []
-    lift_M = block_pointwise(net.lifting)
     if net.layers:
         first_M, first_c = _layer_dense(net.layers[0], grid, act)
         layers.append((first_M @ lift_M, first_c, net.layers[0].apply_activation))
         for layer in net.layers[1:]:
             M, c = _layer_dense(layer, grid, act)
             layers.append((M, c, layer.apply_activation))
-        out_M = block_pointwise(net.projection)
     else:
-        out_M = block_pointwise(net.projection) @ lift_M
-
-    basis = trigonometric_basis(grid)
-    T = _grid_to_basis_matrix(grid, basis)
-    # output layout: channel-major (d_u blocks of len(basis) coefficients)
-    per_channel = []
-    for c in range(d_u):
-        sel = np.zeros((size, size * d_u))
-        sel[np.arange(size), np.arange(size) * d_u + c] = 1.0
-        per_channel.append(T @ sel)
-    basis_M = np.concatenate(per_channel, axis=0) @ out_M
-    layers.append((basis_M, np.zeros(basis_M.shape[0]), False))
-    branch = DenseNet(tuple(layers), net.activation)
+        out_M = out_M @ lift_M
 
     x = grid.axis_coordinates()
     mesh = np.meshgrid(*([x] * grid.d), indexing="ij")
     sensors = np.stack([m.ravel() for m in mesh], axis=-1)
+    basis = trigonometric_basis(grid)
+    # grid values -> basis coefficients (discrete transform, exact for band-limited
+    # fields), laid out channel-major: d_u blocks of len(basis) coefficients
+    T = (TWO_PI ** grid.d / size) * np.stack([fn(sensors) for fn in basis])
+    to_basis = np.einsum("ji,cd->cjid", T, np.eye(d_u)).reshape(d_u * len(basis), size * d_u)
+    basis_M = to_basis @ out_M
+    layers.append((basis_M, np.zeros(basis_M.shape[0]), False))
     return DeepOnetExport(
         grid=grid,
         d_u=d_u,
         sensor_points=sensors,
-        branch=branch,
+        branch=DenseNet(tuple(layers), net.activation),
         trunk=basis,
         B_bar=B_bar,
         meta={"B": B, "source_depth": net.depth, "source_width": net.d_v * size},
@@ -225,17 +186,21 @@ def to_deeponet(net: PsiFno, B: float, rng=None, norm_probes: int = 20) -> DeepO
     """Exact branch/trunk factorization of a grid network (see _export).
 
     B enters only through the reported bound
-    B_bar = (2N+1)^d * sup ||net(a)||_{L^2} over ||a||_inf <= B probes.
+    B_bar = (2N+1)^d * sup ||net(a)||_{L^2} over ||a||_inf <= B probes.  The
+    trunk is orthonormal, so ||net(a)||_{L^2} is the Euclidean norm of the
+    branch coefficients and the probes run through the branch.
     """
     rng = rng if rng is not None else np.random.default_rng(11)
     grid = net.grid
+    export = _export(net, B, 0.0)
     sup_out = 0.0
     for _ in range(norm_probes):
         a = idft(random_hermitian_coeffs(grid, rng, channels=net.d_a))
         sup_a = float(np.max(np.abs(a.values))) or 1.0
-        a = GridField(grid, a.values * (B / sup_a))
-        sup_out = max(sup_out, l2_norm(fno_forward(net, a)))
-    return _export(net, B, grid.size * sup_out)
+        beta = export.branch(a.values.reshape(-1) * (B / sup_a))
+        sup_out = max(sup_out, float(np.linalg.norm(beta)))
+    export.B_bar = grid.size * sup_out
+    return export
 
 
 def gram_defect(export: DeepOnetExport, oversample: int = 4) -> float:

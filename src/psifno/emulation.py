@@ -25,7 +25,12 @@ Darcy network stacks K copies of [gradient F-layer; product sigma-layer;
 combine/update F-layer with the lifted source as bias], and the
 Navier-Stokes network stacks n_T * kappa0 advection blocks of the same
 shape.  Widths grow like N^d through the grid, depths like the iteration
-counts; lifts stay constant.
+counts; lifts stay constant.  Three assemblers build every block:
+`_feed_layer` (channel copies and gradients under a mode mask),
+`_sigma_layer` (six sq_h rows per product, two psi_h rows per carried
+channel) and `_product_sums` (the combine rows).  The nonlinearity
+networks P_N(a grad u) and PL_N(u . grad w) are one such block without
+the carry or the update.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, CalibrationFailed, DimensionMismatch
-from .fno import FnoLayer, FourierMultiplier, PsiFno, activation, compose, fno_forward
+from .fno import (
+    FnoLayer, FourierMultiplier, PsiFno, activation, compose, fno_forward, layer_forward,
+)
 from .spectral import (
     Grid,
     GridField,
@@ -64,14 +71,17 @@ _SQ_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])  # sq_h(a+b) - sq_h(a) 
 def _calibrate(build, error, target: float, h0: float):
     """Halve the step from h0 until error(build(h)) <= target; returns (net, error).
 
-    Raises CalibrationFailed once h falls below H_MIN, where float64
-    cancellation in the difference quotients outgrows the gadget error.
+    A PsiFno records the error in meta["measured_error"].  Raises
+    CalibrationFailed once h falls below H_MIN, where float64 cancellation
+    in the difference quotients outgrows the gadget error.
     """
     h, best = h0, np.inf
     while h >= H_MIN:
         net = build(h)
         err = error(net)
         if err <= target:
+            if isinstance(net, PsiFno):
+                net.meta["measured_error"] = err
             return net, err
         best = min(best, err)
         h *= 0.5
@@ -79,6 +89,12 @@ def _calibrate(build, error, target: float, h0: float):
         f"no step h in [{H_MIN:.1e}, {h0:.3g}] meets the target {target:.1e} "
         f"(smallest error {best:.2e}); float64 cancellation wins first"
     )
+
+
+def _ball_field(grid: Grid, rng, B: float, channels: int = 1) -> GridField:
+    """Random band-limited probe scaled to L^2 norm B (a zero draw stays zero)."""
+    v = idft(random_hermitian_coeffs(grid, rng, channels=channels))
+    return GridField(grid, v.values * (B / (l2_norm(v) or 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +154,7 @@ def _product_net(h: float, spec: ProductNetSpec) -> DenseNet:
     A1 = np.zeros((6, 2))
     _product_rows(A1, 0, 0, 1, h)
     denom = 2.0 * h * h * act.d2(x0)
-    A2 = _product_combine(0, denom, 6)[None, :]
+    A2 = _product_sums([[0]], denom, 6)
     b2 = np.array([2.0 * act(x0) / denom])
     return DenseNet(((A1, np.full(6, x0), True), (A2, b2, False)), spec.activation)
 
@@ -237,11 +253,7 @@ def build_affine_approx(spec: AffineApproxSpec, rng=None, probes: int = 24) -> P
     rng = rng if rng is not None else np.random.default_rng(0)
     act = activation(spec.activation)
     grid = spec.grid
-    fields = []
-    for _ in range(probes):
-        v = idft(random_hermitian_coeffs(grid, rng, channels=spec.layer.d_v))
-        nrm = l2_norm(v) or 1.0
-        fields.append(GridField(grid, v.values * (spec.B / nrm)))
+    fields = [_ball_field(grid, rng, spec.B, spec.layer.d_v) for _ in range(probes)]
     targets = [
         np.asarray(_unactivated_forward(spec.layer, v, act)) for v in fields
     ]
@@ -255,14 +267,12 @@ def build_affine_approx(spec: AffineApproxSpec, rng=None, probes: int = 24) -> P
 
 
 def _unactivated_forward(layer: FnoLayer, v: GridField, act):
-    from .fno import layer_forward
-
     bare = FnoLayer(layer.d_v, layer.weight, layer.bias, layer.multiplier, False)
     return layer_forward(bare, v, act).values
 
 
 # ---------------------------------------------------------------------------
-# Shared mode-array helpers for the multiplier layers
+# Block assemblers shared by the constructive networks
 # ---------------------------------------------------------------------------
 
 
@@ -282,16 +292,71 @@ def _product_rows(W: np.ndarray, row0: int, col_a: int, col_b: int, h: float):
     W[row0 + 5, col_b] -= h
 
 
-def _product_combine(row0: int, denom: float, D: int) -> np.ndarray:
-    """Row vector reconstructing the product from its six sq_h units."""
-    row = np.zeros(D)
-    row[row0 : row0 + 6] = _SQ_SIGNS / denom
-    return row
+def _feed_layer(grid: Grid, D: int, mask: np.ndarray, copies, grads) -> FnoLayer:
+    """Unactivated F-layer: row <- mask * col for each (row, col) in copies,
+    row <- mask * d(col)/dx_axis for each (row, col, axis) in grads."""
+    A = np.zeros((D, D))
+    for row, col in copies:
+        A[row, col] = 1.0
+    terms = [(mask, A)]
+    ik = _lattice(grid.d, grid.N).ik
+    for row, col, axis in grads:
+        E = np.zeros((D, D))
+        E[row, col] = 1.0
+        terms.append((ik[..., axis] * mask, E))
+    return FnoLayer(D, None, None, FourierMultiplier(grid.d, grid.N, terms, D, check=False), False)
 
 
-def _psi_rows(W: np.ndarray, row0: int, col: int, h: float):
-    W[row0, col] += h
-    W[row0 + 1, col] -= h
+def _sigma_layer(D: int, products, carries, h: float, x0: float,
+                 h_c: float = 0.0, x0_id: float = 0.0) -> FnoLayer:
+    """Activated layer: six sq_h rows at 6p (bias x0) for the p-th product
+    (col_a, col_b), then two psi_h rows (step h_c, bias x0_id) per carried channel."""
+    W = np.zeros((D, D))
+    b = np.zeros(D)
+    for p, (col_a, col_b) in enumerate(products):
+        _product_rows(W, 6 * p, col_a, col_b, h)
+        b[6 * p : 6 * p + 6] = x0
+    r0 = 6 * len(products)
+    for q, col in enumerate(carries):
+        W[r0 + 2 * q, col] = h_c
+        W[r0 + 2 * q + 1, col] = -h_c
+        b[r0 + 2 * q : r0 + 2 * q + 2] = x0_id
+    return FnoLayer(D, W, b, None, True)
+
+
+def _product_sums(groups, denom: float, D: int) -> np.ndarray:
+    """One combine row per group: the sum of its products p, each rebuilt from the
+    six sq_h units at 6p.  The constant 2 sigma(x0) / denom per product is left
+    to the caller's bias (or to a multiplier that vanishes at k = 0)."""
+    rows = np.zeros((len(groups), D))
+    for g, group in enumerate(groups):
+        for p in group:
+            rows[g, 6 * p : 6 * p + 6] = _SQ_SIGNS / denom
+    return rows
+
+
+def _sq_feed(W: np.ndarray, bias: np.ndarray, row: int, col, h: float, x0: float, shift=0.0):
+    """Rows row, row + 1 as sigma(x0 +- h (v_col + shift)); col None reads no channel."""
+    if col is not None:
+        W[row, col] = h
+        W[row + 1, col] = -h
+    bias[..., row] = x0 + h * shift
+    bias[..., row + 1] = x0 - h * shift
+
+
+def _leray_terms(grid: Grid, scale: np.ndarray, row0: int, rows: np.ndarray) -> list:
+    """Terms adding scale * k k^T/|k|^2 applied to the combine rows into rows row0 + m.
+
+    Next to a term -scale * rows on the same rows they give -scale times the
+    Leray projection of the combined field."""
+    lat = _lattice(grid.d, grid.N)
+    terms = []
+    for m in range(grid.d):
+        for mp in range(grid.d):
+            A = np.zeros((rows.shape[1],) * 2)
+            A[row0 + m] = rows[mp]
+            terms.append((scale * (lat.k[..., m] * lat.k[..., mp] * lat.inv_k2), A))
+    return terms
 
 
 def _psi_combine(row0: int, h: float, d1: float, D: int) -> np.ndarray:
@@ -311,46 +376,17 @@ def _darcy_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiF
     grid = Grid(d, 2 * N)
     D = 6 * d
     mask = _mask(grid, N, zero_mean=False)
-    ik = _lattice(d, grid.N).ik
-
-    # F-layer: (a, u) -> (a, du/dx_1, ..., du/dx_d)
-    terms1 = [(mask, _unit(D, 0, 0))]
-    for i in range(d):
-        terms1.append((ik[..., i] * mask, _unit(D, 1 + i, 1)))
-    L1 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms1, D, check=False), False)
-
-    # sigma-layer: six sq_h units per product a * g_i
-    W2 = np.zeros((D, D))
-    for i in range(d):
-        _product_rows(W2, 6 * i, 0, 1 + i, h)
-    b2 = np.full(D, x0)
-    L2 = FnoLayer(D, W2, b2, None, True)
-
-    # F-layer: truncated combine, P_N(a grad u)_i into channel i
+    # (a, u) -> (a, du/dx_i) -> sq_h units of a * du/dx_i -> P_N(a grad u)_i in channel i
+    L1 = _feed_layer(grid, D, mask, [(0, 0)], [(1 + i, 1, i) for i in range(d)])
+    L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], (), h, x0)
     denom = 2.0 * h * h * act.d2(x0)
     C = np.zeros((D, D))
-    for i in range(d):
-        C[i] = _product_combine(6 * i, denom, D)
+    C[:d] = _product_sums([[i] for i in range(d)], denom, D)
     bias3 = np.zeros(D)
     bias3[:d] = 2.0 * act(x0) / denom
-    L3 = FnoLayer(
-        D, None, bias3,
-        FourierMultiplier(d, grid.N, [(_mask(grid, N, False), C.astype(complex))], D, check=False),
-        False,
-    )
-
-    R = np.zeros((D, 2))
-    R[0, 0] = 1.0
-    R[1, 1] = 1.0
-    Q = np.zeros((d, D))
-    Q[:, :d] = np.eye(d)
-    return PsiFno(grid, R, (L1, L2, L3), Q, act_tag, meta={"h": h, "kind": "darcy-nonlinearity"})
-
-
-def _unit(D: int, row: int, col: int) -> np.ndarray:
-    A = np.zeros((D, D))
-    A[row, col] = 1.0
-    return A
+    L3 = FnoLayer(D, None, bias3, FourierMultiplier(d, grid.N, [(mask, C)], D, check=False), False)
+    return PsiFno(grid, np.eye(D, 2), (L1, L2, L3), np.eye(d, D), act_tag,
+                  meta={"h": h, "kind": "darcy-nonlinearity"})
 
 
 def darcy_nonlinearity_oracle(a: GridField, u: GridField) -> GridField:
@@ -387,10 +423,7 @@ def build_nonlinearity_net_darcy(
     small = Grid(d, N)
     pairs = []
     for _i in range(probes):
-        a = idft(random_hermitian_coeffs(small, rng))
-        u = idft(random_hermitian_coeffs(small, rng))
-        a = GridField(small, a.values * (B / (l2_norm(a) or 1.0)))
-        u = GridField(small, u.values * (B / (l2_norm(u) or 1.0)))
+        a, u = _ball_field(small, rng, B), _ball_field(small, rng, B)
         pairs.append((resample(a, 2 * N), resample(u, 2 * N)))
     return _calibrate_on_pairs(lambda h: _darcy_nonlin_net(N, d, h, act_tag, x0),
                                darcy_nonlinearity_oracle, pairs, eps, h0)
@@ -415,9 +448,7 @@ def _calibrate_on_pairs(build, oracle, pairs, eps: float, h0: float) -> PsiFno:
             worst = max(worst, l2_norm(GridField(got.grid, got.values - want.values)))
         return worst
 
-    net, err = _calibrate(build, error, 0.5 * eps, min(h0, 1.0))
-    net.meta["measured_error"] = err
-    return net
+    return _calibrate(build, error, 0.5 * eps, min(h0, 1.0))[0]
 
 
 def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
@@ -426,45 +457,20 @@ def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     D = 6 * d * d
     mask = _mask(grid, N, zero_mean=False)
     mask_dot = _mask(grid, N, zero_mean=True)
-    lat = _lattice(d, grid.N)
+    # (u, w) -> (u, dw_m/dx_i at d + i*d + m) -> sq_h units of u_i * dw_m/dx_i
+    pairs = [(i, m) for i in range(d) for m in range(d)]
+    L1 = _feed_layer(grid, D, mask, [(c, c) for c in range(d)],
+                     [(d + i * d + m, d + m, i) for i, m in pairs])
+    L2 = _sigma_layer(D, [(i, d + i * d + m) for i, m in pairs], (), h, x0)
 
-    # F-layer: (u, w) -> (u, dw_m/dx_i), gradient channels at d + i*d + m
-    terms1 = []
-    passA = np.zeros((D, D))
-    passA[:d, :d] = np.eye(d)
-    terms1.append((mask, passA))
-    for i in range(d):
-        for m in range(d):
-            terms1.append((lat.ik[..., i] * mask, _unit(D, d + i * d + m, d + m)))
-    L1 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms1, D, check=False), False)
-
-    # sigma-layer: products u_i * g_{i,m}
-    W2 = np.zeros((D, D))
-    for i in range(d):
-        for m in range(d):
-            _product_rows(W2, 6 * (i * d + m), i, d + i * d + m, h)
-    L2 = FnoLayer(D, W2, np.full(D, x0), None, True)
-
-    # F-layer: Leray-truncated combine of adv_m = sum_i u_i g_{i,m}
+    # F-layer: Leray-truncated combine of adv_m = sum_i u_i dw_m/dx_i
     denom = 2.0 * h * h * act.d2(x0)
     C = np.zeros((D, D))
-    for m in range(d):
-        for i in range(d):
-            C[m] += _product_combine(6 * (i * d + m), denom, D)
-    terms3 = [(mask_dot, C.astype(complex))]
-    for m in range(d):
-        for mp in range(d):
-            s = -(lat.k[..., m] * lat.k[..., mp] * lat.inv_k2) * mask_dot
-            A = np.zeros((D, D))
-            A[m] = C[mp]
-            terms3.append((s, A))
+    C[:d] = _product_sums([[i * d + m for i in range(d)] for m in range(d)], denom, D)
+    terms3 = [(mask_dot, C)] + _leray_terms(grid, -mask_dot, 0, C[:d])
     L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
-
-    R = np.zeros((D, 2 * d))
-    R[: 2 * d, : 2 * d] = np.eye(2 * d)
-    Q = np.zeros((d, D))
-    Q[:, :d] = np.eye(d)
-    return PsiFno(grid, R, (L1, L2, L3), Q, act_tag, meta={"h": h, "kind": "ns-nonlinearity"})
+    return PsiFno(grid, np.eye(D, 2 * d), (L1, L2, L3), np.eye(d, D), act_tag,
+                  meta={"h": h, "kind": "ns-nonlinearity"})
 
 
 def ns_nonlinearity_oracle(u2: GridField, w2: GridField) -> GridField:
@@ -570,48 +576,30 @@ def build_darcy_emulator(
 
     mask_dot = _mask(grid, N, zero_mean=True)
     lat = _lattice(d, grid.N)
+    bias_vals = np.zeros(grid.shape + (D,))
+    bias_vals[..., 1] = bias_field_vals[..., 0]
+    # block layer 1, independent of the steps: (atilde, u) -> (Pdot_N atilde, grad u)
+    L1 = _feed_layer(grid, D, mask_dot, [(0, 0)], [(1 + i, 1, i) for i in range(d)])
 
     def build(h: float, h_c: float) -> PsiFno:
-        # block layer 1: (atilde, u) -> (Pdot_N atilde, grad u)
-        terms1 = [(mask_dot, _unit(D, 0, 0))]
-        for i in range(d):
-            terms1.append((lat.ik[..., i] * mask_dot, _unit(D, 1 + i, 1)))
-        L1 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms1, D, check=False), False)
-
-        # block layer 2: products (atilde, g_i) + psi carry of atilde
-        W2 = np.zeros((D, D))
-        b2 = np.zeros(D)
-        for i in range(d):
-            _product_rows(W2, 6 * i, 0, 1 + i, h)
-            b2[6 * i : 6 * i + 6] = x0
-        _psi_rows(W2, 6 * d, 0, h_c)
-        b2[6 * d : 6 * d + 2] = x0_id
-        L2 = FnoLayer(D, W2, b2, None, True)
+        # block layer 2: products atilde * g_i plus the psi carry of atilde
+        L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], [0], h, x0, h_c, x0_id)
 
         # block layer 3: atilde carry + u update with the lifted source bias
         denom = 2.0 * h * h * act.d2(x0)
-        carry = _psi_combine(6 * d, h_c, act.d1(x0_id), D)
         A_carry = np.zeros((D, D))
-        A_carry[0] = carry
-        terms3 = [(mask_dot, A_carry.astype(complex))]
-        for i in range(d):
+        A_carry[0] = _psi_combine(6 * d, h_c, act.d1(x0_id), D)
+        terms3 = [(mask_dot, A_carry)]
+        for i, row in enumerate(_product_sums([[p] for p in range(d)], denom, D)):
             A_i = np.zeros((D, D))
-            A_i[1] = _product_combine(6 * i, denom, D)
-            terms3.append(((lat.ik[..., i] * lat.inv_k2) * mask_dot, A_i.astype(complex)))
-        bias_vals = np.zeros(grid.shape + (D,))
-        bias_vals[..., 1] = bias_field_vals[..., 0]
+            A_i[1] = row
+            terms3.append(((lat.ik[..., i] * lat.inv_k2) * mask_dot, A_i))
         L3 = FnoLayer(
             D, None, GridField(grid, bias_vals),
             FourierMultiplier(d, grid.N, terms3, D, check=False), False,
         )
-
-        R = np.zeros((D, 1))
-        R[0, 0] = 1.0
-        Q = np.zeros((1, D))
-        Q[0, 1] = 1.0
-        layers = (L1, L2, L3) * K
         return PsiFno(
-            grid, R, layers, Q, act_tag,
+            grid, np.eye(D, 1), (L1, L2, L3) * K, np.eye(1, D, 1), act_tag,
             meta={"h": h, "h_carry": h_c, "K": K, "kind": "darcy-emulator",
                   "ranges": [sup_a, sup_g], "lam": lam, "k": k, "N": N, "B": B},
         )
@@ -621,14 +609,12 @@ def build_darcy_emulator(
     h = min(0.25, float(np.sqrt(budget / (0.9 * max(sup_a + sup_g, 1.0) ** 4))))
     h_c = min(0.25, float(np.sqrt(3.0 * budget / max(sup_a, 1.0) ** 3)))
     refs = [resample(u_ref, 2 * N) for u_ref in solutions]
-    net, err = _calibrate(
+    return _calibrate(
         _scaled(build, h, h_c),
         lambda net: max(darcy_mod.h1_error_against(fno_forward(net, a), u_ref)
                         for a, u_ref in zip(probes, refs)),
         0.7 * eps, min(h, h_c),
-    )
-    net.meta["measured_error"] = err
-    return net
+    )[0]
 
 
 def _scaled(build, h: float, h_c: float):
@@ -703,46 +689,25 @@ def build_ns_emulator(
     sup_g = range_safety * max(2.0 * sup_g, 0.1)  # inner iterates reach ~2||u||
 
     mask_dot = _mask(grid, N, zero_mean=True)
-    lat = _lattice(d, grid.N)
     inv_helm = (mask_dot / (1.0 + nu * tau * _mode_sq(grid.d, grid.N))).astype(complex)
 
+    # feed layers, independent of the steps: the first sweep of a time step
+    # reads u (at n > 0 the u carried into w) and later sweeps add grad w
+    from_u = [(c, c) for c in range(d)]
+    grads = [(2 * d + i * d + m, d + m, i) for i in range(d) for m in range(d)]
+    first = _feed_layer(grid, D, mask_dot, from_u, ())
+    from_w = _feed_layer(grid, D, mask_dot, [(c, d + c) for c in range(d)], ())
+    sweep = _feed_layer(grid, D, mask_dot, from_u, grads)
+    feeds = [sweep if kk > 1 else from_w if n > 0 else first
+             for n in range(n_T) for kk in range(1, kap + 1)]
+
     def build(h: float, h_c: float) -> PsiFno:
-        denom = 2.0 * h * h * act.d2(x0)
-
-        def layer1(read_u_from_w: bool, with_grads: bool) -> FnoLayer:
-            terms = []
-            passA = np.zeros((D, D))
-            src = d if read_u_from_w else 0
-            passA[np.arange(d), np.arange(src, src + d)] = 1.0
-            terms.append((mask_dot, passA.astype(complex)))
-            if with_grads:
-                for i in range(d):
-                    for m in range(d):
-                        terms.append((lat.ik[..., i] * mask_dot,
-                                      _unit(D, 2 * d + i * d + m, d + m)))
-            return FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms, D, check=False), False)
-
         # sigma-layer: products u_i * g_{i,m} plus psi carry of u
-        W2 = np.zeros((D, D))
-        b2 = np.zeros(D)
-        for i in range(d):
-            for m in range(d):
-                r0 = 6 * (i * d + m)
-                _product_rows(W2, r0, i, 2 * d + i * d + m, h)
-                b2[r0 : r0 + 6] = x0
-        for c in range(d):
-            _psi_rows(W2, 6 * d * d + 2 * c, c, h_c)
-            b2[6 * d * d + 2 * c : 6 * d * d + 2 * c + 2] = x0_id
-        L2 = FnoLayer(D, W2, b2, None, True)
-
-        # combine matrices
-        carry = np.zeros((d, D))
-        for c in range(d):
-            carry[c] = _psi_combine(6 * d * d + 2 * c, h_c, act.d1(x0_id), D)
-        adv = np.zeros((d, D))
-        for m in range(d):
-            for i in range(d):
-                adv[m] += _product_combine(6 * (i * d + m), denom, D)
+        L2 = _sigma_layer(D, [(i, row) for row, _, i in grads], range(d), h, x0, h_c, x0_id)
+        denom = 2.0 * h * h * act.d2(x0)
+        carry = np.array([_psi_combine(6 * d * d + 2 * c, h_c, act.d1(x0_id), D)
+                          for c in range(d)])
+        adv = _product_sums([[i * d + m for i in range(d)] for m in range(d)], denom, D)
 
         # F-layer: u rows get the carried u, w rows get F(w)
         A_u = np.zeros((D, D))
@@ -751,31 +716,12 @@ def build_ns_emulator(
         A_w_lin[d : 2 * d] = carry
         A_w_adv = np.zeros((D, D))
         A_w_adv[d : 2 * d] = adv
-        terms3 = [
-            (mask_dot, A_u.astype(complex)),
-            (inv_helm, A_w_lin.astype(complex)),
-            (-tau * inv_helm, A_w_adv.astype(complex)),
-        ]
-        for m in range(d):
-            for mp in range(d):
-                s = tau * inv_helm * (lat.k[..., m] * lat.k[..., mp] * lat.inv_k2)
-                A = np.zeros((D, D))
-                A[d + m] = adv[mp]
-                terms3.append((s, A.astype(complex)))
+        terms3 = [(mask_dot, A_u), (inv_helm, A_w_lin), (-tau * inv_helm, A_w_adv)]
+        terms3 += _leray_terms(grid, tau * inv_helm, d, adv)
         L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
-
-        layers = []
-        for n in range(n_T):
-            for kk_ in range(1, kap + 1):
-                layers.append(layer1(read_u_from_w=(kk_ == 1 and n > 0), with_grads=(kk_ > 1)))
-                layers.append(L2)
-                layers.append(L3)
-        R = np.zeros((D, d))
-        R[:d, :d] = np.eye(d)
-        Q = np.zeros((d, D))
-        Q[:, d : 2 * d] = np.eye(d)
         return PsiFno(
-            grid, R, tuple(layers), Q, act_tag,
+            grid, np.eye(D, d), tuple(L for feed in feeds for L in (feed, L2, L3)),
+            np.eye(d, D, d), act_tag,
             meta={"h": h, "h_carry": h_c, "n_T": n_T, "kappa0": kap,
                   "Lambda": Lambda, "kind": "ns-emulator", "ranges": [sup_u, sup_g]},
         )
@@ -784,14 +730,12 @@ def build_ns_emulator(
     h = min(0.25, float(np.sqrt(budget / (0.9 * max(sup_u + sup_g, 1.0) ** 4))))
     h_c = min(0.25, float(np.sqrt(3.0 * budget / max(sup_u, 1.0) ** 3)))
     refs = [resample(u_ref, 2 * N) for u_ref in finals]
-    net, err = _calibrate(
+    return _calibrate(
         _scaled(build, h, h_c),
         lambda net: max(l2_norm(GridField(grid, fno_forward(net, u0).values - u_ref.values))
                         for u0, u_ref in zip(probes, refs)),
         0.7 * eps_total, min(h, h_c),
-    )
-    net.meta["measured_error"] = err
-    return net
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -826,23 +770,10 @@ def _ft_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     W1 = np.zeros((D, D))
     bias_vals = np.zeros(grid.shape + (D,))
     for t in range(K):
-        r = 8 * t
-        W1[r + 0, 0] = h       # sigma(x0 + h(v + cos_k))
-        W1[r + 1, 0] = -h
-        bias_vals[..., r + 0] = x0 + h * cosf[t]
-        bias_vals[..., r + 1] = x0 - h * cosf[t]
-        bias_vals[..., r + 2] = x0 + h * cosf[t]   # sq_h(cos_k) rows
-        bias_vals[..., r + 3] = x0 - h * cosf[t]
-        W1[r + 4, 0] = h       # sigma(x0 + h(v + sin_k))
-        W1[r + 5, 0] = -h
-        bias_vals[..., r + 4] = x0 + h * sinf[t]
-        bias_vals[..., r + 5] = x0 - h * sinf[t]
-        bias_vals[..., r + 6] = x0 + h * sinf[t]   # sq_h(sin_k) rows
-        bias_vals[..., r + 7] = x0 - h * sinf[t]
-    W1[8 * K, 0] = h           # shared sq_h(v) rows
-    W1[8 * K + 1, 0] = -h
-    bias_vals[..., 8 * K] = x0
-    bias_vals[..., 8 * K + 1] = x0
+        for r, trig in ((8 * t, cosf[t]), (8 * t + 4, sinf[t])):
+            _sq_feed(W1, bias_vals, r, 0, h, x0, trig)          # sq_h(v + trig)
+            _sq_feed(W1, bias_vals, r + 2, None, h, x0, trig)   # sq_h(trig)
+    _sq_feed(W1, bias_vals, 8 * K, 0, h, x0)                    # shared sq_h(v)
     L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
 
     # zero-mode multiplier: averaging the products gives Re / -Im
@@ -897,9 +828,7 @@ def build_ft_emulator(
     fields.append(GridField(grid, np.full(grid.shape + (1,), -c_max)))
     x0_coord = np.broadcast_to(grid.coordinates()[0], grid.shape)
     fields.append(GridField(grid, (np.sqrt(2.0) * c_max * np.cos(x0_coord))[..., None]))
-    for _ in range(probes):
-        v = idft(random_hermitian_coeffs(grid, rng))
-        fields.append(GridField(grid, v.values * (B / (l2_norm(v) or 1.0))))
+    fields += [_ball_field(grid, rng, B) for _ in range(probes)]
     targets = []
     for v in fields:
         c = dft(v).coeffs[..., 0].ravel()
@@ -914,9 +843,7 @@ def build_ft_emulator(
             worst = max(worst, float(np.max(np.std(flat, axis=0))))
         return worst
 
-    net, err = _calibrate(lambda h: _ft_net(N, d, h, act_tag, x0), error, 0.5 * eps, min(h0, 1.0))
-    net.meta["measured_error"] = err
-    return net
+    return _calibrate(lambda h: _ft_net(N, d, h, act_tag, x0), error, 0.5 * eps, min(h0, 1.0))[0]
 
 
 def _ift_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
@@ -930,18 +857,10 @@ def _ift_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     bias_vals = np.zeros(grid.shape + (D,))
     for t in range(K):
         for ell, trig in ((0, cosf[t]), (1, sinf[t])):
-            r = 12 * t + 6 * ell
-            col = 2 * t + ell
-            W1[r + 0, col] = h       # sigma(x0 + h(w + trig))
-            W1[r + 1, col] = -h
-            bias_vals[..., r + 0] = x0 + h * trig
-            bias_vals[..., r + 1] = x0 - h * trig
-            W1[r + 2, col] = h       # sq_h(w) rows
-            W1[r + 3, col] = -h
-            bias_vals[..., r + 2] = x0
-            bias_vals[..., r + 3] = x0
-            bias_vals[..., r + 4] = x0 + h * trig   # sq_h(trig) rows
-            bias_vals[..., r + 5] = x0 - h * trig
+            r, col = 12 * t + 6 * ell, 2 * t + ell
+            _sq_feed(W1, bias_vals, r, col, h, x0, trig)         # sq_h(w + trig)
+            _sq_feed(W1, bias_vals, r + 2, col, h, x0)           # sq_h(w)
+            _sq_feed(W1, bias_vals, r + 4, None, h, x0, trig)    # sq_h(trig)
     L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
 
     denom = 2.0 * h * h * act.d2(x0)
@@ -990,14 +909,12 @@ def build_ift_emulator(
         w_field = GridField(grid, np.broadcast_to(w, grid.shape + w.shape).copy())
         pairs.append((w_field, v))
 
-    net, err = _calibrate(
+    return _calibrate(
         lambda h: _ift_net(N, d, h, act_tag, x0),
         lambda net: max(l2_norm(GridField(grid, fno_forward(net, w).values - v.values))
                         for w, v in pairs),
         0.5 * eps, min(h0, 1.0),
-    )
-    net.meta["measured_error"] = err
-    return net
+    )[0]
 
 
 def fourier_conjugate_pipeline(inner: PsiFno, ft: PsiFno, ift: PsiFno) -> PsiFno:
@@ -1032,11 +949,7 @@ def strictify(net: PsiFno, B: float, eps: float, rng=None, probes: int = 8) -> P
     # measure per-layer input L2 bounds on ||a|| <= B probes
     bounds = [0.0] * net.depth
     for _ in range(probes):
-        a = idft(random_hermitian_coeffs(grid, rng, channels=net.d_a))
-        a = GridField(grid, a.values * (B / (l2_norm(a) or 1.0)))
-        v = GridField(grid, a.values @ net.lifting.T)
-        from .fno import layer_forward
-
+        v = GridField(grid, _ball_field(grid, rng, B, net.d_a).values @ net.lifting.T)
         for i, layer in enumerate(net.layers):
             bounds[i] = max(bounds[i], l2_norm(v))
             v = layer_forward(layer, v, act)

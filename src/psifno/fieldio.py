@@ -33,14 +33,32 @@ def save_field(field: GridField, path) -> None:
     base.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+def _count(sidecar: dict, key: str) -> int:
+    value = sidecar.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigInvalid(f"field sidecar {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
 def load_field(path) -> GridField:
+    """Read <path>.bin and <path>.json as written by save_field.
+
+    Raises ConfigInvalid when a file cannot be read, the sidecar is not a
+    JSON object with the layout and positive integers d, N and channels,
+    or the payload length disagrees with the sidecar.
+    """
     base = Path(path)
-    sidecar = json.loads(base.with_suffix(".json").read_text())
+    try:
+        sidecar = json.loads(base.with_suffix(".json").read_text())
+        raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and odd-length payloads
+        raise ConfigInvalid(f"cannot read field {base}: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ConfigInvalid(f"field sidecar must be a JSON object, got {type(sidecar).__name__}")
     if sidecar.get("layout") != LAYOUT:
         raise ConfigInvalid(f"unsupported field layout {sidecar.get('layout')!r}")
-    grid = Grid(int(sidecar["d"]), int(sidecar["N"]))
-    channels = int(sidecar["channels"])
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
+    grid = Grid(_count(sidecar, "d"), _count(sidecar, "N"))
+    channels = _count(sidecar, "channels")
     expected = grid.size * channels
     if raw.size != expected:
         raise ConfigInvalid(

@@ -4,13 +4,15 @@ Most of what is here is written against the definitions directly
 (explicit sums, direct convolution), so it cannot share bugs with the
 FFT-based implementation paths it checks.  The reference network
 evaluator is the full-spectrum path the compiled forward replaced: it
-shares only the checked public transforms with the package.
+shares only the checked public transforms with the package.  The layer
+prober builds a layer's dense matrix one unit vector at a time, without
+assuming shift equivariance.
 """
 
 import numpy as np
 from scipy.signal import convolve
 
-from psifno.fno import activation
+from psifno.fno import FnoLayer, activation, layer_forward
 from psifno.spectral import Grid, GridField, SpectralCoeffs, dft, idft, resample
 
 
@@ -95,3 +97,19 @@ def reference_forward(net, a: GridField) -> GridField:
     for layer in net.layers:
         v = reference_layer_forward(layer, v, act)
     return GridField(net.grid, v.values @ net.projection.T)
+
+
+def probe_layer_dense(layer, grid: Grid, act) -> tuple:
+    """Dense (matrix, bias) of a layer's pre-activation map on flat values,
+    one layer_forward per unit vector: |J| d_v + 1 evaluations."""
+    d_v = layer.d_v
+    n = grid.size * d_v
+    bare = FnoLayer(d_v, layer.weight, layer.bias, layer.multiplier, False)
+    c = layer_forward(bare, GridField(grid, np.zeros(grid.shape + (d_v,))), act).values.reshape(-1)
+    M = np.empty((n, n))
+    for j in range(n):
+        probe = np.zeros(n)
+        probe[j] = 1.0
+        M[:, j] = layer_forward(bare, GridField(grid, probe.reshape(grid.shape + (d_v,))),
+                                act).values.reshape(-1) - c
+    return M, c

@@ -237,3 +237,26 @@ class TestEmulatorSubcommands:
         assert main(["deeponet-export", "--config", str(cfg), "--out", str(out)]) == 0
         assert (tmp_path / "model.deeponet.json").exists()
         assert (tmp_path / "model.psifno").exists()
+
+
+class TestExitCodes:
+    def test_non_numeric_config_value_is_internal_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "darcy-converge",
+                           {"lambda": 0.5, "k": 1, "N_list": "ab"})
+        code = main(["darcy-converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("psifno: internal error: ValueError")
+
+    def test_runner_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        import psifno.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("runner broke")
+
+        monkeypatch.setattr(psifno.cli, "run_experiment", broken)
+        cfg = write_config(tmp_path, "spectral-check", {})
+        code = main(["spectral-check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == "psifno: internal error: RuntimeError: runner broke\n"
+        assert not (tmp_path / "out").exists()

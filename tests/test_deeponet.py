@@ -10,17 +10,19 @@ from psifno.deeponet import (
     trigonometric_basis,
 )
 from psifno.errors import BadParameters
-from psifno.fno import FnoLayer, FourierMultiplier, PsiFno, fno_forward
+from psifno.fno import FnoLayer, FourierMultiplier, PsiFno, activation, fno_forward
 from psifno.spectral import (
     Grid,
+    GridField,
     evaluate,
     idft,
+    l2_norm,
     random_field,
     random_hermitian_coeffs,
     resample,
 )
 
-from helpers import rel_err
+from helpers import probe_layer_dense, rel_err
 
 
 def small_random_net(grid, rng, d_a=1, d_v=3, d_u=1, depth=2):
@@ -209,3 +211,54 @@ class TestApproximateTrunk:
         # target below the staircase floor for a sane unit count is detected
         with pytest.raises(BadParameters):
             build_trunk_networks(export, eps=1e-13 * export.B_bar)
+
+
+class TestStructuralExport:
+    @pytest.mark.parametrize("d, N, W", [(1, 4, 2), (2, 3, 2), (2, 2, 2)])
+    def test_layer_matrix_matches_column_prober(self, d, N, W):
+        from psifno.deeponet import _layer_dense
+
+        g = Grid(d, N)
+        rng = np.random.default_rng(40 + 10 * d + N)
+        d_v = 3
+        shape = (2 * W + 1,) * d
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(d)))))
+        mult = FourierMultiplier(d, W, [(s, rng.standard_normal((d_v, d_v)))], d_v)
+        layer = FnoLayer(d_v, rng.standard_normal((d_v, d_v)),
+                         random_field(g, rng, channels=d_v), mult, True)
+        act = activation("tanh")
+        M, c = _layer_dense(layer, g, act)
+        M_ref, c_ref = probe_layer_dense(layer, g, act)
+        assert rel_err(M, M_ref) <= 1e-13
+        assert np.array_equal(c, c_ref)
+
+    def test_export_makes_d_v_plus_one_layer_calls_per_layer(self, monkeypatch):
+        import psifno.deeponet
+        import psifno.fno
+
+        g = Grid(2, 3)
+        net = small_random_net(g, np.random.default_rng(41), d_v=3, depth=2)
+        calls = []
+        original = psifno.fno.layer_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(psifno.fno, "layer_forward", counting)
+        monkeypatch.setattr(psifno.deeponet, "layer_forward", counting)
+        to_deeponet(net, B=1.0, rng=np.random.default_rng(42))
+        assert len(calls) <= net.depth * (net.d_v + 1)
+
+    def test_b_bar_matches_forward_norms(self):
+        g = Grid(2, 2)
+        net = small_random_net(g, np.random.default_rng(43), d_a=2, d_u=2)
+        export = to_deeponet(net, B=1.5, rng=np.random.default_rng(44), norm_probes=5)
+        rng = np.random.default_rng(44)
+        sup_out = 0.0
+        for _ in range(5):
+            a = idft(random_hermitian_coeffs(g, rng, channels=2))
+            a = GridField(g, a.values * (1.5 / np.max(np.abs(a.values))))
+            sup_out = max(sup_out, l2_norm(fno_forward(net, a)))
+        assert abs(export.B_bar - g.size * sup_out) <= 1e-12 * export.B_bar

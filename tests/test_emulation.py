@@ -139,6 +139,12 @@ class TestAffineApprox:
         net = build_affine_approx(AffineApproxSpec(layer, g, B=1.0, eps=1e-5))
         assert all(lay.apply_activation for lay in net.layers)
 
+    def test_records_measured_error(self):
+        g = Grid(1, 2)
+        layer = FnoLayer(1, 2.0 * np.eye(1), None, None, False)
+        net = build_affine_approx(AffineApproxSpec(layer, g, B=1.0, eps=1e-5))
+        assert 0.0 < net.meta["measured_error"] <= 1e-5
+
 
 class TestDarcyNonlinearity:
     def test_zero_coefficient(self):
@@ -326,6 +332,12 @@ def small():
 
 
 class TestNsEmulator:
+    def test_blocks_share_three_feed_layers(self, small):
+        net, _ = small
+        n_blocks = net.meta["n_T"] * net.meta["kappa0"]
+        assert net.depth == 3 * n_blocks
+        assert len({id(layer) for layer in net.layers[0::3]}) == 3
+        assert len({id(layer) for layer in net.layers}) == 5
 
     def test_zero_initial_data(self, small):
         net, cfg = small

@@ -51,6 +51,43 @@ class TestFieldContainer:
             load_field(tmp_path / "field")
 
 
+class TestLoadHardening:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        save_field(random_field(Grid(2, 2), np.random.default_rng(6), channels=2),
+                   tmp_path / "field")
+        return tmp_path / "field"
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[:-3],                                        # JSON cut short
+        lambda t: "[]",                                          # not an object
+        lambda t: t.replace('"channels": 2,', ""),               # missing channels
+        lambda t: t.replace('"d": 2', '"d": "two"'),             # non-integer d
+        lambda t: t.replace('"d": 2', '"d": 2.5'),               # fractional d
+        lambda t: t.replace('"d": 2', '"d": true'),              # boolean d
+        lambda t: t.replace('"d": 2', '"d": 0'),                 # non-positive d
+        lambda t: t.replace('"N": 2', '"N": -2'),                # non-positive N
+        lambda t: t.replace('"channels": 2', '"channels": 0'),   # non-positive channels
+    ])
+    def test_bad_sidecar(self, saved, edit):
+        sidecar = saved.with_suffix(".json")
+        sidecar.write_text(edit(sidecar.read_text()))
+        with pytest.raises(ConfigInvalid):
+            load_field(saved)
+
+    @pytest.mark.parametrize("suffix", [".json", ".bin"])
+    def test_missing_file(self, saved, suffix):
+        saved.with_suffix(suffix).unlink()
+        with pytest.raises(ConfigInvalid):
+            load_field(saved)
+
+    def test_payload_not_whole_doubles(self, saved):
+        payload = saved.with_suffix(".bin")
+        payload.write_bytes(payload.read_bytes()[:-3])
+        with pytest.raises(ConfigInvalid):
+            load_field(saved)
+
+
 class TestTrajectoryCheckpoints:
     def test_simulate_writes_states(self, tmp_path):
         N, U = 4, 0.5
