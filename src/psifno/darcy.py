@@ -12,7 +12,9 @@ whose Lipschitz constant in the zero-mean H^1 seminorm is bounded by
 sup|atilde_N| <= 1 - lambda/2 for lambda-coercive coefficients.  The
 iteration count is fixed a priori from (lambda, N, k); no adaptive
 stopping, so convergence studies probe the a-priori bound itself.
-Products atilde_N * grad(u) are evaluated exactly on the doubled grid.
+The iteration runs on the real half spectrum, with atilde_N * grad(u)
+evaluated exactly on the smallest odd 7-smooth grid of >= 3N+1 points (the
+3/2 rule); min a and sup|atilde_N| are checked on the doubled grid.
 """
 
 from __future__ import annotations
@@ -33,15 +35,16 @@ from .spectral import (
     GridField,
     SpectralCoeffs,
     _dot,
-    _fft_coeffs,
-    _flux_hat,
-    _ifft_values,
-    _lattice,
-    _pad_or_fold,
+    _flux_half,
+    _half_lattice,
+    _half_power,
+    _irfft_values,
+    _on_grid,
+    _product_radius,
+    _rfft_half,
     dft,
     field_from_function,
     idft,
-    inverse_laplacian,
     l2_norm,
     mean,
     project,
@@ -89,11 +92,11 @@ class DarcySolution:
     residual_history: tuple  # Hdot^1 norms of successive increments
 
 
-def _restrict(c: SpectralCoeffs, M: int, zero_mean: bool = False) -> SpectralCoeffs:
-    """Truncate to |k|_inf <= M and drop the resolution to M (exact)."""
-    trunc = project(c, M, zero_mean=zero_mean)
-    out = _pad_or_fold(trunc.coeffs, c.grid.d, c.grid.N, M)
-    return SpectralCoeffs(Grid(c.grid.d, M), out, real_field=c.real_field)
+def _restrict(f: GridField, N: int) -> GridField:
+    """f sampled on the 2N grid, truncated to zero-mean modes |k|_inf <= N at resolution N."""
+    c = project(dft(f if f.grid.N == 2 * N else resample(f, 2 * N)), N, zero_mean=True).coeffs
+    centre = tuple(slice(N, 3 * N + 1) for _ in range(f.grid.d))
+    return idft(SpectralCoeffs(Grid(f.grid.d, N), c[centre]))
 
 
 def prepare_coefficients(a: GridField, f: GridField, N: int):
@@ -109,18 +112,14 @@ def prepare_coefficients(a: GridField, f: GridField, N: int):
         raise InsufficientResolution(
             f"need samples at resolution >= {2 * N}, got a at {a.grid.N}, f at {f.grid.N}"
         )
-    a2 = a if a.grid.N == 2 * N else resample(a, 2 * N)
-    f2 = f if f.grid.N == 2 * N else resample(f, 2 * N)
-    atilde = idft(_restrict(dft(a2), N, zero_mean=True))
-    f_N = idft(_restrict(dft(f2), N, zero_mean=True))
-    return atilde, f_N
+    return _restrict(a, N), _restrict(f, N)
 
 
 class PicardOperator:
     """F(u) = Pdot_N (-Lap)^-1 div(atilde_N grad u) + (-Lap)^-1 f_N.
 
-    Caches the coefficient on the doubled grid and the source lift; one
-    application costs a handful of FFTs.
+    Caches the coefficient on the product grid (_product_radius) and the
+    source lift; one application costs four real FFTs.
     """
 
     def __init__(self, atilde_N: GridField, f_N: GridField):
@@ -128,20 +127,19 @@ class PicardOperator:
             raise BadParameters("atilde_N and f_N must share a grid")
         self.grid = atilde_N.grid
         g = self.grid
-        self._atilde2 = resample(atilde_N, 2 * g.N).values[..., 0]
-        self._invlap_f = inverse_laplacian(f_N).values
-        self._lattice = _lattice(g.d, g.N)
-        self._center = tuple(slice(g.N, 3 * g.N + 1) for _ in range(g.d))
-        self.sup_atilde = float(np.max(np.abs(self._atilde2)))
+        a_half = _rfft_half(atilde_N.values, g.d)
+        self._atilde = _on_grid(a_half, g.d, _product_radius(g.N), g.npoints)
+        self._lattice = _half_lattice(g.d, g.N)
+        self._invlap_f = _irfft_values(
+            _rfft_half(f_N.values, g.d) * self._lattice.inv_k2[..., None], g.d)
+        self.sup_atilde = float(np.max(np.abs(_on_grid(a_half, g.d, 2 * g.N, g.npoints))))
 
     def apply(self, u: GridField) -> GridField:
         g = self.grid
         if u.grid != g:
             raise BadParameters(f"iterate must live at resolution {g.N}")
-        big = _pad_or_fold(_fft_coeffs(u.values[..., 0], g.d), g.d, g.N, 2 * g.N)
-        flux_hat = _flux_hat(self._atilde2, big, g.d)[self._center]
-        div_hat = _dot(self._lattice.ik, flux_hat)
-        term = _ifft_values((div_hat * self._lattice.inv_k2)[..., None], g.d).real
+        flux = _flux_half(self._atilde, _rfft_half(u.values, g.d), g.d)
+        term = _irfft_values((_dot(self._lattice.ik, flux) * self._lattice.inv_k2)[..., None], g.d)
         return GridField(g, term + self._invlap_f)
 
 
@@ -167,8 +165,9 @@ def solve(problem: DarcyProblem) -> DarcySolution:
     when sup|atilde_N| >= 1 - lambda/2 (the operative contraction bound).
     """
     p = problem
-    atilde_N, f_N = prepare_coefficients(p.a, p.f, p.N)
-    a_on_2N = p.a if p.a.grid.N == 2 * p.N else resample(p.a, 2 * p.N)
+    # a coarser than 2N goes through as is, for prepare_coefficients to reject
+    a_on_2N = p.a if p.a.grid.N <= 2 * p.N else resample(p.a, 2 * p.N)
+    atilde_N, f_N = prepare_coefficients(a_on_2N, p.f, p.N)
     a_min = float(np.min(a_on_2N.values))
     if a_min < p.lam / 2.0:
         raise CoercivityViolation(
@@ -196,8 +195,8 @@ def solve(problem: DarcyProblem) -> DarcySolution:
 def hminus1_norm(f: GridField) -> float:
     """Zero-mean dual norm ((2pi)^d sum_{k!=0} |c_k|^2 / |k|^2)^(1/2)."""
     g = f.grid
-    power = np.sum(np.abs(dft(f).coeffs) ** 2, axis=-1)
-    return float(np.sqrt((2 * np.pi) ** g.d * np.sum(power * _lattice(g.d, g.N).inv_k2)))
+    power = _half_power(_rfft_half(f.values, g.d), g.d)
+    return float(np.sqrt((2 * np.pi) ** g.d * np.sum(power * _half_lattice(g.d, g.N).inv_k2)))
 
 
 def galerkin_residual_norm(u: GridField, atilde_N: GridField, f_N: GridField) -> float:
@@ -319,10 +318,10 @@ def manufactured_problem(
 
     M_f = M_u + 1  # a has degree 1, so a * grad(u*) has degree <= M_u + 1
     a = trig_coefficient(d, M_f, amplitude)
-    u_fine = resample(u_star, M_f)
-    flux_hat = _flux_hat(a.values[..., 0], _fft_coeffs(u_fine.values[..., 0], d), d)
-    div_hat = _dot(_lattice(d, M_f).ik, flux_hat)
-    return a, GridField(a.grid, -_ifft_values(div_hat[..., None], d).real), u_fine
+    u_fine = GridField(a.grid, _on_grid(_rfft_half(u_star.values, d), d, M_f, fine.npoints))
+    flux = _flux_half(a.values, _rfft_half(u_fine.values, d), d)
+    div = _irfft_values(_dot(_half_lattice(d, M_f).ik, flux)[..., None], d)
+    return a, GridField(a.grid, -div), u_fine
 
 
 def h1_error_against(u_N: GridField, reference: GridField) -> float:

@@ -35,7 +35,7 @@ the carry or the update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,12 +46,12 @@ from .fno import (
 from .spectral import (
     Grid,
     GridField,
-    _fft_coeffs,
-    _flux_hat,
-    _ifft_values,
+    _advection_half,
+    _flux_half,
+    _half_resize,
     _lattice,
-    _leray_hat,
-    _mode_sq,
+    _on_grid,
+    _rfft_half,
     dft,
     derivative,
     idft,
@@ -389,14 +389,18 @@ def _darcy_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiF
                   meta={"h": h, "kind": "darcy-nonlinearity"})
 
 
-def darcy_nonlinearity_oracle(a: GridField, u: GridField) -> GridField:
-    """Exact P_N(a grad u) for band-limited inputs at resolution 2N (N = grid.N/2)."""
-    grid = a.grid
+def _truncated(half: np.ndarray, grid: Grid) -> GridField:
+    """Values on the doubled grid of a half spectrum taken there, truncated to N = grid.N/2."""
     if grid.N % 2 != 0:
         raise BadParameters("oracle expects fields on the doubled grid")
-    flux_hat = _flux_hat(a.values[..., 0], _fft_coeffs(u.values[..., 0], grid.d), grid.d)
-    flux_hat *= truncation_mask(grid, grid.N // 2)[..., None]
-    return GridField(grid, _ifft_values(flux_hat, grid.d).real)
+    return GridField(grid, _on_grid(_half_resize(half, grid.d, grid.N // 2), grid.d, grid.N,
+                                    grid.npoints))
+
+
+def darcy_nonlinearity_oracle(a: GridField, u: GridField) -> GridField:
+    """Exact P_N(a grad u) for band-limited inputs at resolution 2N (N = grid.N/2)."""
+    d = a.grid.d
+    return _truncated(_flux_half(a.values, _rfft_half(u.values, d), d), a.grid)
 
 
 def build_nonlinearity_net_darcy(
@@ -475,14 +479,8 @@ def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
 
 def ns_nonlinearity_oracle(u2: GridField, w2: GridField) -> GridField:
     """Exact PL_N(u . grad w) for band-limited inputs on the doubled grid."""
-    grid = u2.grid
-    d = grid.d
-    w_hat = _fft_coeffs(w2.values, d)
-    # grads[..., i, m] = d_i w_m
-    grads = _ifft_values(_lattice(d, grid.N).ik[..., :, None] * w_hat[..., None, :], d).real
-    adv_hat = _fft_coeffs(np.einsum("...i,...im->...m", u2.values, grads), d)
-    adv_hat *= truncation_mask(grid, grid.N // 2, zero_mean=True)[..., None]
-    return GridField(grid, _ifft_values(_leray_hat(adv_hat, grid), d).real)
+    d = u2.grid.d
+    return _truncated(_advection_half(u2.values, _rfft_half(w2.values, d), d), u2.grid)
 
 
 def build_ns_nonlinearity_net(
@@ -666,9 +664,7 @@ def build_ns_emulator(
     ]
     finals, sup_u, sup_g = [], 0.0, 0.0
     for u0 in probes:
-        cfg = ns.NsConfig(d=d, N=N, nu=nu, T=config.T, tau=tau, U=config.U, u0=u0,
-                          enforce_cfl=config.enforce_cfl)
-        run = ns.simulate(cfg, "first", record_states=True)
+        run = ns.simulate(replace(config, u0=u0), "first", record_states=True)
         finals.append(run.final.u)
         for st in run.states:
             sup_u = max(sup_u, float(np.max(np.abs(st.u.values))))
@@ -680,16 +676,14 @@ def build_ns_emulator(
                     )
     delta = ns.random_divergence_free(small, rng, norm=max(1e-3 * l2_norm(probes[0]), 1e-6))
     pert = GridField(small, probes[0].values + delta.values)
-    cfg_p = ns.NsConfig(d=d, N=N, nu=nu, T=config.T, tau=tau, U=config.U * (1 + 1e-2),
-                        u0=pert, enforce_cfl=config.enforce_cfl)
-    run_p = ns.simulate(cfg_p, "first")
+    run_p = ns.simulate(replace(config, U=config.U * (1 + 1e-2), u0=pert), "first")
     lam_traj = l2_norm(GridField(small, run_p.final.u.values - finals[0].values)) / l2_norm(delta)
     Lambda = max(1.0, lam_traj)
     sup_u = range_safety * max(sup_u, 0.1)
     sup_g = range_safety * max(2.0 * sup_g, 0.1)  # inner iterates reach ~2||u||
 
     mask_dot = _mask(grid, N, zero_mean=True)
-    inv_helm = (mask_dot / (1.0 + nu * tau * _mode_sq(grid.d, grid.N))).astype(complex)
+    inv_helm = (mask_dot / (1.0 + nu * tau * _lattice(grid.d, grid.N).k2)).astype(complex)
 
     # feed layers, independent of the steps: the first sweep of a time step
     # reads u (at n > 0 the u carried into w) and later sweeps add grad w

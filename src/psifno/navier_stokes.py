@@ -12,8 +12,9 @@ and the update is computed by a fixed number kappa0 of Picard sweeps of
 
 which contracts with ratio <= 1/2 under the CFL restriction
 tau * U * N^(d/2+1) <= 1/(2e).  PL_N is the Leray-Fourier projection
-(zero-mean, divergence-free, modes |k|_inf <= N); the advection product
-is evaluated exactly on the doubled grid.
+(zero-mean, divergence-free, modes |k|_inf <= N).  The sweeps run on the
+real half spectrum, with the advection product evaluated exactly on the
+smallest odd 7-smooth grid of >= 3N+1 points (the 3/2 rule).
 
 The second-order scheme combines Crank-Nicolson diffusion with an
 Adams-Bashforth extrapolated advection velocity ubar = 3/2 u^n - 1/2 u^{n-1};
@@ -31,7 +32,7 @@ O(tau^2) and does not pollute the temporal order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,14 +40,13 @@ from .errors import BadParameters, CflViolation, NonFiniteState
 from .spectral import (
     Grid,
     GridField,
-    SpectralCoeffs,
-    _fft_coeffs,
-    _ifft_values,
-    _lattice,
-    _leray_hat,
-    _mode_sq,
-    _pad_or_fold,
-    dft,
+    _advection_half,
+    _half_lattice,
+    _half_power,
+    _irfft_values,
+    _on_grid,
+    _product_radius,
+    _rfft_half,
     divergence,
     field_from_function,
     idft,
@@ -146,71 +146,52 @@ def initial_state(config: NsConfig) -> NsState:
 
 
 class _Advection:
-    """hat(w) -> hat( PL_N( v . grad w ) ), with v cached on the doubled grid."""
+    """w_half -> half spectrum of PL_N(v . grad w), with v cached on the product grid."""
 
     def __init__(self, v: GridField):
-        self.grid = v.grid
-        g = self.grid
-        self._v2 = resample(v, 2 * g.N).values
-        self._ik_big = _lattice(g.d, 2 * g.N).ik[..., :, None]
-        self._center = tuple(slice(g.N, 3 * g.N + 1) for _ in range(g.d))
+        g = v.grid
+        self.d = g.d
+        self._v = _on_grid(_rfft_half(v.values, g.d), g.d, _product_radius(g.N), g.npoints)
+
+    def apply_hat(self, w_half: np.ndarray) -> np.ndarray:
+        return _advection_half(self._v, w_half, self.d)
+
+
+class _InnerMap:
+    """w -> base - scale * PL_N(v . grad w) for one outer step, on the half spectrum.
+
+    order 1 (F):  v = u^n,  H = 1 - nu*tau*Lap,     scale = tau H^-1,
+                  base = H^-1 u^n;
+    order 2 (F2): v = ubar, H = 1 - (nu*tau/2) Lap, scale = (tau/2) H^-1,
+                  base = H^-1 (1 + (nu*tau/2) Lap) u^n - scale PL_N(ubar . grad u^n).
+    """
+
+    def __init__(self, u: GridField, v: GridField, nu: float, tau: float, order: int):
+        g = u.grid
+        alpha = nu * tau / order
+        k2 = _half_lattice(g.d, g.N).k2[..., None]
+        inv_helm = 1.0 / (1.0 + alpha * k2)
+        self._adv = _Advection(v)
+        self._scale = (tau / order) * inv_helm
+        u_hat = _rfft_half(u.values, g.d)
+        self.base = inv_helm * (1.0 - (order - 1) * alpha * k2) * u_hat
+        if order == 2:
+            self.base = self.apply_hat(u_hat)
 
     def apply_hat(self, w_hat: np.ndarray) -> np.ndarray:
-        g = self.grid
-        d = g.d
-        big_hat = _pad_or_fold(w_hat, d, g.N, 2 * g.N)
-        # grads[..., i, m] = d_i w_m on the doubled grid
-        grads = _ifft_values(self._ik_big * big_hat[..., None, :], d).real
-        adv = np.einsum("...i,...im->...m", self._v2, grads)
-        adv_hat = _fft_coeffs(adv, d)[self._center]
-        return _leray_hat(adv_hat, g)
+        return self.base - self._scale * self._adv.apply_hat(w_hat)
 
 
-class _FirstOrderMap:
-    """F(w) for one outer step of the first-order scheme, in hat space."""
-
-    def __init__(self, u_n: GridField, nu: float, tau: float):
-        g = u_n.grid
-        self.grid = g
-        self.tau = tau
-        inv_helm = 1.0 / (1.0 + nu * tau * _mode_sq(g.d, g.N))
-        self._inv_helm = inv_helm[..., None]
-        self._base = dft(u_n).coeffs * self._inv_helm
-        self._adv = _Advection(u_n)
-
-    def apply_hat(self, w_hat: np.ndarray) -> np.ndarray:
-        return self._base - self.tau * self._inv_helm * self._adv.apply_hat(w_hat)
-
-
-class _SecondOrderMap:
-    """F2(w) for one outer step of the second-order scheme, in hat space."""
-
-    def __init__(self, u_prev: GridField, u_cur: GridField, nu: float, tau: float):
-        g = u_cur.grid
-        self.grid = g
-        self.tau = tau
-        k2 = _mode_sq(g.d, g.N)
-        self._inv_helm = (1.0 / (1.0 + 0.5 * nu * tau * k2))[..., None]
-        ubar = GridField(g, 1.5 * u_cur.values - 0.5 * u_prev.values)
-        self._adv = _Advection(ubar)
-        u_hat = dft(u_cur).coeffs
-        lin = (1.0 - 0.5 * nu * tau * k2)[..., None] * u_hat
-        self._rhs0 = lin - 0.5 * tau * self._adv.apply_hat(u_hat)
-
-    def apply_hat(self, w_hat: np.ndarray) -> np.ndarray:
-        return self._inv_helm * (self._rhs0 - 0.5 * self.tau * self._adv.apply_hat(w_hat))
-
-
-def _energy_hat(coeffs: np.ndarray, d: int) -> float:
-    return float(np.sqrt((2 * np.pi) ** d * np.sum(np.abs(coeffs) ** 2)))
+def _energy_hat(half: np.ndarray, d: int) -> float:
+    return float(np.sqrt((2 * np.pi) ** d * np.sum(_half_power(half, d))))
 
 
 def picard_map_first(w: GridField, u_n: GridField, nu: float, tau: float) -> GridField:
     """Single application of the first-order inner map F to w."""
     if w.grid != u_n.grid:
         raise BadParameters("w and u_n must share a grid")
-    op = _FirstOrderMap(u_n, nu, tau)
-    return idft(SpectralCoeffs(w.grid, op.apply_hat(dft(w).coeffs)))
+    op = _InnerMap(u_n, u_n, nu, tau, 1)
+    return GridField(w.grid, _irfft_values(op.apply_hat(_rfft_half(w.values, w.grid.d)), w.grid.d))
 
 
 def _check_step_cfl(config: NsConfig, u: GridField):
@@ -223,18 +204,18 @@ def _check_step_cfl(config: NsConfig, u: GridField):
         )
 
 
-def _finish_step(state: NsState, w_hat, grid: Grid, d: int) -> NsState:
+def _finish_step(state: NsState, w_hat) -> NsState:
     if not np.all(np.isfinite(w_hat)):
         raise NonFiniteState(f"state became non-finite after step {state.step}")
-    u_next = idft(SpectralCoeffs(grid, w_hat))
-    return NsState(state.step + 1, u_next, _energy_hat(w_hat, d))
+    g = state.u.grid
+    return NsState(state.step + 1, GridField(g, _irfft_values(w_hat, g.d)), _energy_hat(w_hat, g.d))
 
 
 _STALL_RTOL = 1e-15  # successive iterates equal to round-off: further sweeps are no-ops
 
 
-def _iterate(op, k_iter: int, shape) -> np.ndarray:
-    w_hat = np.zeros(shape, dtype=complex)
+def _iterate(op, k_iter: int) -> np.ndarray:
+    w_hat = np.zeros_like(op.base)
     for _ in range(k_iter):
         w_next = op.apply_hat(w_hat)
         delta = np.max(np.abs(w_next - w_hat))
@@ -253,9 +234,8 @@ def step_first_order(state: NsState, config: NsConfig, kappa: int | None = None)
     """
     _check_step_cfl(config, state.u)
     k_iter = kappa if kappa is not None else kappa0(config.T, config.tau, order=1)
-    op = _FirstOrderMap(state.u, config.nu, config.tau)
-    w_hat = _iterate(op, k_iter, state.u.grid.shape + (config.d,))
-    return _finish_step(state, w_hat, state.u.grid, config.d)
+    op = _InnerMap(state.u, state.u, config.nu, config.tau, 1)
+    return _finish_step(state, _iterate(op, k_iter))
 
 
 def step_second_order(
@@ -264,24 +244,15 @@ def step_second_order(
     """One outer step of the second-order scheme from (u^{n-1}, u^n)."""
     _check_step_cfl(config, cur.u)
     k_iter = kappa if kappa is not None else kappa0(config.T, config.tau, order=2)
-    op = _SecondOrderMap(prev.u, cur.u, config.nu, config.tau)
-    w_hat = _iterate(op, k_iter, cur.u.grid.shape + (config.d,))
-    return _finish_step(cur, w_hat, cur.u.grid, config.d)
+    ubar = GridField(cur.u.grid, 1.5 * cur.u.values - 0.5 * prev.u.values)
+    op = _InnerMap(cur.u, ubar, config.nu, config.tau, 2)
+    return _finish_step(cur, _iterate(op, k_iter))
 
 
 def _startup_second_order(config: NsConfig) -> NsState:
     """u^1 via the first-order scheme on [0, tau] with n_T sub-steps."""
     n_sub = config.n_steps
-    sub = NsConfig(
-        d=config.d,
-        N=config.N,
-        nu=config.nu,
-        T=config.tau,
-        tau=config.tau / n_sub,
-        U=config.U,
-        u0=config.u0,
-        enforce_cfl=config.enforce_cfl,
-    )
+    sub = replace(config, T=config.tau, tau=config.tau / n_sub)
     state = initial_state(sub)
     for _ in range(n_sub):
         state = step_first_order(state, sub)
@@ -326,18 +297,11 @@ def simulate(
             state = step_first_order(state, config, kappa)
             record(state)
     else:
-        if config.n_steps == 1:
-            state = _startup_second_order(config)
+        prev, state = state, _startup_second_order(config)
+        record(state)
+        for _ in range(config.n_steps - 1):
+            prev, state = state, step_second_order(prev, state, config, kappa)
             record(state)
-        else:
-            prev = state
-            cur = _startup_second_order(config)
-            record(cur)
-            for _ in range(config.n_steps - 1):
-                nxt = step_second_order(prev, cur, config, kappa)
-                record(nxt)
-                prev, cur = cur, nxt
-            state = cur
     run.final = state
     return run
 
@@ -384,15 +348,10 @@ def inner_iterate_errors(state: NsState, config: NsConfig, kappa_ref: int = 60):
     """Distances ||w* - w^k||_{L2} of the inner iterates to a converged
     reference w* (kappa_ref sweeps), for k = 0..kappa0.  Returns the list
     and ||u^n||_{L2}."""
-    op = _FirstOrderMap(state.u, config.nu, config.tau)
+    op = _InnerMap(state.u, state.u, config.nu, config.tau, 1)
     k_iter = kappa0(config.T, config.tau, order=1)
-    w_hat = np.zeros(state.u.grid.shape + (config.d,), dtype=complex)
-    iterates = [w_hat]
-    for _ in range(k_iter):
-        w_hat = op.apply_hat(w_hat)
-        iterates.append(w_hat)
-    ref = iterates[-1]
-    for _ in range(kappa_ref - k_iter):
-        ref = op.apply_hat(ref)
-    errs = [_energy_hat(ref - w, config.d) for w in iterates]
+    iterates = [np.zeros_like(op.base)]
+    for _ in range(max(kappa_ref, k_iter)):
+        iterates.append(op.apply_hat(iterates[-1]))
+    errs = [_energy_hat(iterates[-1] - w, config.d) for w in iterates[: k_iter + 1]]
     return errs, l2_norm(state.u)

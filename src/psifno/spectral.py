@@ -11,8 +11,9 @@ The transform pair
 is exact (an FFT reordering), so projections, derivatives, inverse
 Laplacians, Leray projection and Sobolev norms are all evaluated without
 discretization error on band-limited data.  Products of two degree-N
-polynomials are computed exactly by evaluation on the doubled grid
-(de-aliasing) followed by truncation.
+polynomials are computed exactly by evaluation on a finer grid
+(de-aliasing) followed by truncation: dealiased_product uses the doubled
+grid, the solvers' half-spectrum kernels the grid of _product_radius.
 
 All operations are pure functions of immutable inputs; 64-bit floats
 throughout.
@@ -20,6 +21,7 @@ throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -78,30 +80,15 @@ class Grid:
 
     def modes(self) -> list:
         """d broadcastable integer mode arrays in centered order -N..N."""
-        return _mode_mesh(self.d, self.N)
-
-
-@lru_cache(maxsize=None)
-def _mode_mesh(d: int, N: int) -> list:
-    k = np.arange(-N, N + 1)
-    return list(np.meshgrid(*([k] * d), indexing="ij", sparse=True))
-
-
-@lru_cache(maxsize=None)
-def _mode_sq(d: int, N: int) -> np.ndarray:
-    """|k|^2 on the centered mode lattice, shape (2N+1,)*d (read-only, cached)."""
-    ks = _mode_mesh(d, N)
-    out = np.zeros((2 * N + 1,) * d)
-    for kk in ks:
-        out = out + kk.astype(float) ** 2
-    out.setflags(write=False)
-    return out
+        k = np.arange(-self.N, self.N + 1)
+        return list(np.meshgrid(*([k] * self.d), indexing="ij", sparse=True))
 
 
 class _Lattice(NamedTuple):
-    """Mode arrays on the centered lattice; ik and k carry a trailing axis of length d."""
+    """Mode arrays on a lattice layout; ik and k carry a trailing axis of length d."""
 
     ik: np.ndarray      # i*k, the derivative multipliers
+    k2: np.ndarray      # |k|^2
     inv_k2: np.ndarray  # 1/|k|^2, with 0 at k = 0
 
     @property
@@ -109,15 +96,27 @@ class _Lattice(NamedTuple):
         return self.ik.imag
 
 
-@lru_cache(maxsize=None)
-def _lattice(d: int, N: int) -> _Lattice:
-    """Cached lattice arrays, shared by every caller and therefore read-only."""
-    k = np.stack(np.broadcast_arrays(*(kk.astype(float) for kk in _mode_mesh(d, N))), axis=-1)
-    k2 = _mode_sq(d, N)
-    lat = _Lattice(1j * k, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0))
+def _build_lattice(axes) -> _Lattice:
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    k = np.stack(np.broadcast_arrays(*(kk.astype(float) for kk in mesh)), axis=-1)
+    k2 = np.sum(k**2, axis=-1)
+    lat = _Lattice(1j * k, k2, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0))
     for arr in lat:
         arr.setflags(write=False)
     return lat
+
+
+@lru_cache(maxsize=None)
+def _lattice(d: int, N: int) -> _Lattice:
+    """Cached lattice arrays in centered order, shared by every caller and therefore read-only."""
+    return _build_lattice([np.arange(-N, N + 1)] * d)
+
+
+@lru_cache(maxsize=None)
+def _half_lattice(d: int, N: int) -> _Lattice:
+    """Cached read-only lattice arrays in the half layout of _rfft_half on the (2N+1)^d grid."""
+    unshifted = np.fft.ifftshift(np.arange(-N, N + 1))
+    return _build_lattice([unshifted] * (d - 1) + [np.arange(N + 1)])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,8 +254,7 @@ def _fft_coeffs(values: np.ndarray, d: int) -> np.ndarray:
     """Forward transform kernel: centered coefficients of grid values, unchecked.
 
     Transforms the first d axes; trailing axes are batched.  dft() adds the
-    symmetrization; hot paths that return to grid space through a real part
-    call this directly, where the round-off antisymmetry is harmless.
+    symmetrization.
     """
     axes = tuple(range(d))
     n = values.shape[0] ** d
@@ -284,7 +282,7 @@ def _rfft_half(values: np.ndarray, d: int) -> np.ndarray:
     so a centered multiplier moved into this layout with _half_layout acts
     between the pair exactly as on dft coefficients.  scipy.fft runs these
     small batched real transforms about a fifth faster than np.fft; it is
-    imported on first use, as only the network forward needs it.
+    imported on first use.
     """
     import scipy.fft
 
@@ -296,6 +294,7 @@ def _irfft_values(half: np.ndarray, d: int) -> np.ndarray:
 
     The half spectrum stands for its conjugate-symmetric extension, so the
     result is real by construction; any antisymmetric round-off is dropped.
+    The grid is odd, so its length follows from the half axis.
     """
     import scipy.fft
 
@@ -304,28 +303,86 @@ def _irfft_values(half: np.ndarray, d: int) -> np.ndarray:
 
 
 def _half_layout(modes: np.ndarray, d: int, N: int) -> np.ndarray:
-    """Centered mode array over |k|_inf <= W (W <= N) in the layout of _rfft_half at N.
+    """Centered mode array over |k|_inf <= W (W <= N) in the layout of _rfft_half at N;
+    trailing axes are carried along."""
+    half = np.fft.ifftshift(modes, axes=tuple(range(d))).astype(complex)
+    return _half_resize(half.take(range((modes.shape[0] + 1) // 2), axis=d - 1), d, N)
 
-    Zero-pads to radius N, undoes the centering on the first d axes and
-    keeps modes 0..N of axis d-1; trailing axes are carried along.
+
+def _half_resize(half: np.ndarray, d: int, M: int) -> np.ndarray:
+    """A half spectrum zero-padded, or truncated to |k|_inf <= M, to radius M, unchecked.
+
+    Trailing axes and the normalization are kept; an unchanged radius returns the input.
     """
-    W = (modes.shape[0] - 1) // 2
-    full = np.zeros((2 * N + 1,) * d + modes.shape[d:], dtype=complex)
-    full[tuple(slice(N - W, N + W + 1) for _ in range(d))] = modes
-    full = np.fft.ifftshift(full, axes=tuple(range(d)))
-    return np.ascontiguousarray(full[(slice(None),) * (d - 1) + (slice(0, N + 1),)])
+    N = half.shape[d - 1] - 1
+    if M == N:
+        return half
+    out = np.zeros((2 * M + 1,) * (d - 1) + (M + 1,) + half.shape[d:], dtype=half.dtype)
+    m = min(M, N)
+    blocks = (slice(0, m + 1), slice(-m, None)) if m else (slice(0, 1),)
+    for sl in itertools.product(blocks, repeat=d - 1):
+        out[sl + (slice(0, m + 1),)] = half[sl + (slice(0, m + 1),)]
+    return out
 
 
-def _flux_hat(a: np.ndarray, u_hat: np.ndarray, d: int) -> np.ndarray:
-    """hat(a * d_i u) for every axis i, shape u_hat.shape + (d,), unchecked kernels.
+def _on_grid(half: np.ndarray, d: int, M: int, n: int) -> np.ndarray:
+    """Values on the (2M+1)^d grid of the field (truncated to radius M) whose
+    _rfft_half on the n^d grid is half."""
+    return _irfft_values(_half_resize(half, d, M), d) * ((2 * M + 1) / n) ** d
 
-    a holds grid values and u_hat the centered coefficients of a scalar
-    field on the same grid.  The product is pointwise, so it is exact only
-    when the grid resolves its band (the doubled grid for degree-N factors).
+
+@lru_cache(maxsize=None)
+def _product_radius(N: int) -> int:
+    """Radius of the solvers' product grid: the smallest odd length >= 3N+1 with
+    no prime factor above 7.  There the modes of a degree-2N product above N
+    alias only onto modes above N (the 3/2 rule), so truncating it to N is exact."""
+    n = 3 * N + 1 + N % 2  # the smallest odd length >= 3N+1
+    while 105 ** n.bit_length() % n:  # n divides a power of 3*5*7 iff 7-smooth
+        n += 2
+    return n // 2
+
+
+def _leray_half(half: np.ndarray, d: int) -> np.ndarray:
+    """Per mode k != 0 apply 1 - k k^T/|k|^2 to a half spectrum; kill k=0."""
+    lat = _half_lattice(d, half.shape[d - 1] - 1)
+    kdot = _dot(lat.k, half) * lat.inv_k2
+    out = half - lat.k * kdot[..., None]
+    out[(0,) * d] = 0.0
+    return out
+
+
+def _flux_half(a: np.ndarray, u_half: np.ndarray, d: int) -> np.ndarray:
+    """Half spectrum of P_N(a grad u) at the radius N of u_half, shape + (d,), unchecked.
+
+    a and u have one channel; a holds values on a grid that resolves the
+    product.  The raw transform pair on a's grid leaves u_half's normalization.
     """
-    N = (u_hat.shape[0] - 1) // 2
-    grads = _ifft_values(_lattice(d, N).ik * u_hat[..., None], d).real
-    return _fft_coeffs(grads * a[..., None], d)
+    N = u_half.shape[d - 1] - 1
+    grads = _irfft_values(_half_resize(u_half * _half_lattice(d, N).ik, d, a.shape[0] // 2), d)
+    return _half_resize(_rfft_half(grads * a, d), d, N)
+
+
+def _advection_half(v: np.ndarray, w_half: np.ndarray, d: int) -> np.ndarray:
+    """Half spectrum of PL_N(v . grad w) at the radius N of w_half, unchecked.
+
+    v holds d channels on a grid that resolves the product, as in _flux_half.
+    """
+    N = w_half.shape[d - 1] - 1
+    ik = _half_lattice(d, N).ik[..., None, :]
+    grads = _irfft_values(_half_resize(w_half[..., None] * ik, d, v.shape[0] // 2), d)
+    adv = v[..., None, 0] * grads[..., 0]  # grads[..., m, i] = d_i w_m
+    for i in range(1, d):
+        adv += v[..., None, i] * grads[..., i]
+    return _leray_half(_half_resize(_rfft_half(adv, d), d, N), d)
+
+
+def _half_power(half: np.ndarray, d: int) -> np.ndarray:
+    """Per-mode |c_k|^2, summed over the last axis, of a whole-grid _rfft_half;
+    modes 1..N of the half axis also stand for their conjugates and count twice."""
+    weight = np.full(half.shape[d - 1], 2.0)
+    weight[0] = 1.0
+    power = np.sum(half.real**2 + half.imag**2, axis=-1)
+    return power * (weight / float(2 * half.shape[d - 1] - 1) ** (2 * d))
 
 
 def truncation_mask(grid: Grid, M: int, zero_mean: bool = False) -> np.ndarray:
@@ -441,15 +498,6 @@ def dealiased_product(u: GridField, v: GridField) -> GridField:
     return idft(SpectralCoeffs(g, out, real_field=True))
 
 
-def _leray_hat(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per mode k != 0 apply 1 - k k^T/|k|^2 to a centered coefficient array; kill k=0."""
-    lat = _lattice(grid.d, grid.N)
-    kdot = _dot(lat.k, coeffs) * lat.inv_k2
-    out = coeffs - lat.k * kdot[..., None]
-    out[(grid.N,) * grid.d] = 0.0
-    return out
-
-
 def leray_project(u: GridField) -> GridField:
     """Leray-Fourier projection: per mode k != 0 apply 1 - k k^T/|k|^2, kill k=0.
 
@@ -459,7 +507,7 @@ def leray_project(u: GridField) -> GridField:
     g = u.grid
     if u.channels != g.d:
         raise DimensionMismatch(f"Leray projection needs {g.d} channels, got {u.channels}")
-    return idft(SpectralCoeffs(g, _leray_hat(dft(u).coeffs, g), real_field=True))
+    return GridField(g, _irfft_values(_leray_half(_rfft_half(u.values, g.d), g.d), g.d))
 
 
 def sobolev_norm(f: GridField, idx: "SobolevIndex | float", homogeneous: bool = False) -> float:
@@ -469,14 +517,13 @@ def sobolev_norm(f: GridField, idx: "SobolevIndex | float", homogeneous: bool = 
     ||f||_{Hdot^s}^2 = (2pi)^d * sum_{k!=0} |k|^{2s} |c_k|^2
 
     Multi-channel fields sum the squares over channels.  The homogeneous
-    seminorm ignores the mean by construction.
+    seminorm ignores the mean by construction; it reads the real half spectrum.
     """
     if not isinstance(idx, SobolevIndex):
         idx = SobolevIndex(float(idx), homogeneous)
     g = f.grid
-    c = dft(f)
-    power = np.sum(np.abs(c.coeffs) ** 2, axis=-1)
-    k2 = _mode_sq(g.d, g.N)
+    power = _half_power(_rfft_half(f.values, g.d), g.d)
+    k2 = _half_lattice(g.d, g.N).k2
     vol = (2.0 * np.pi) ** g.d
     if idx.homogeneous:
         w = np.where(k2 > 0, k2**idx.s, 0.0)
@@ -507,7 +554,7 @@ def helmholtz_inverse(f: GridField, alpha: float) -> GridField:
         raise BadParameters(f"helmholtz_inverse requires alpha >= 0, got {alpha}")
     g = f.grid
     c = dft(f)
-    k2 = _mode_sq(g.d, g.N)
+    k2 = _lattice(g.d, g.N).k2
     out = c.coeffs / (1.0 + alpha * k2)[..., None]
     return idft(SpectralCoeffs(g, out, real_field=True))
 
@@ -566,7 +613,7 @@ def random_hermitian_coeffs(
     axes = tuple(range(grid.d))
     sym = 0.5 * (raw + np.conj(np.flip(raw, axis=axes)))
     if decay is not None:
-        kabs = np.sqrt(_mode_sq(grid.d, grid.N))
+        kabs = np.sqrt(_lattice(grid.d, grid.N).k2)
         sym = sym * decay(kabs)[..., None]
     if zero_mean:
         sym[(grid.N,) * grid.d + (slice(None),)] = 0.0
