@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigInvalid, PsifnoError
-from .harness import CSV_HEADERS, SCHEMA, run_experiment
+from .harness import CSV_HEADERS, SCHEMA, _param, _typed, run_experiment
 
 
 def _format_cell(v) -> str:
@@ -41,16 +41,13 @@ def write_csv(path: Path, kind: str, rows) -> None:
 
 def load_config(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = _typed(dict)(json.loads(Path(path).read_text()))
+    except (OSError, TypeError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     if doc.get("schema", SCHEMA) != SCHEMA:
         raise ConfigInvalid(f"unsupported config schema {doc.get('schema')!r}")
-    if "kind" not in doc:
-        raise ConfigInvalid("config must declare a 'kind'")
-    doc.setdefault("seed", 0)
-    doc.setdefault("params", {})
-    return doc
+    return {"kind": _param(doc, "kind", _typed(str)), "seed": _param(doc, "seed", int, 0),
+            "params": _param(doc, "params", _typed(dict), {})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +84,7 @@ def _run(args) -> int:
         raise ConfigInvalid(
             f"config is for {doc['kind']!r} but subcommand is {args.kind!r}"
         )
-    seed = args.seed if args.seed is not None else int(doc["seed"])
+    seed = args.seed if args.seed is not None else doc["seed"]
     rows, summary = run_experiment(args.kind, doc["params"], seed, jobs=args.jobs)
 
     out = Path(args.out)

@@ -90,6 +90,8 @@ class DarcySolution:
     u: GridField
     iterations: int
     residual_history: tuple  # Hdot^1 norms of successive increments
+    atilde_N: GridField      # the prepared coefficients the iteration ran on
+    f_N: GridField
 
 
 def _restrict(f: GridField, N: int) -> GridField:
@@ -189,7 +191,8 @@ def solve(problem: DarcyProblem) -> DarcySolution:
         inc = GridField(u.grid, u_next.values - u.values)
         history.append(sobolev_norm(inc, 1.0, homogeneous=True))
         u = u_next
-    return DarcySolution(u=u, iterations=K, residual_history=tuple(history))
+    return DarcySolution(u=u, iterations=K, residual_history=tuple(history),
+                         atilde_N=atilde_N, f_N=f_N)
 
 
 def hminus1_norm(f: GridField) -> float:
@@ -298,7 +301,6 @@ def manufactured_problem(
     rate_k: int,
     N_max: int,
     rng: np.random.Generator,
-    amplitude: float = 0.3,
 ):
     """Rough manufactured solution with a genuinely observable N^-k rate.
 
@@ -306,7 +308,8 @@ def manufactured_problem(
     truncated at mode radius 2*N_max (so u* has exactly the Sobolev
     regularity H^{k+1} that the convergence theory assumes), and
     f = -div(a grad u*) is computed exactly at resolution 2*N_max + 1.
-    Returns (a, f, u_star), all fields at that fine resolution.
+    The coefficient is the default trig_coefficient.  Returns
+    (a, f, u_star), all fields at that fine resolution.
     """
     beta = rate_k + 1.0 + d / 2.0 + 0.05
     M_u = 2 * N_max
@@ -317,7 +320,7 @@ def manufactured_problem(
     u_star = idft(c)
 
     M_f = M_u + 1  # a has degree 1, so a * grad(u*) has degree <= M_u + 1
-    a = trig_coefficient(d, M_f, amplitude)
+    a = trig_coefficient(d, M_f)
     u_fine = GridField(a.grid, _on_grid(_rfft_half(u_star.values, d), d, M_f, fine.npoints))
     flux = _flux_half(a.values, _rfft_half(u_fine.values, d), d)
     div = _irfft_values(_dot(_half_lattice(d, M_f).ik, flux)[..., None], d)

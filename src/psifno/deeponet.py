@@ -24,7 +24,6 @@ import numpy as np
 from .emulation import DenseNet
 from .errors import BadParameters, DimensionMismatch
 from .fno import FnoLayer, PsiFno, activation, layer_forward, load_model, save_model
-from .fno import fno_forward  # noqa: F401  (tests patch it here to show loading runs no forward)
 from .spectral import (
     Grid,
     GridField,
@@ -203,10 +202,10 @@ def to_deeponet(net: PsiFno, B: float, rng=None, norm_probes: int = 20) -> DeepO
     return export
 
 
-def gram_defect(export: DeepOnetExport, oversample: int = 4) -> float:
-    """Max deviation of the trunk Gram matrix from the identity (fine quadrature)."""
+def gram_defect(export: DeepOnetExport) -> float:
+    """Max deviation of the trunk Gram matrix from the identity (quadrature on a 4x finer grid)."""
     g = export.grid
-    fine = Grid(g.d, oversample * g.N)
+    fine = Grid(g.d, 4 * g.N)
     x = fine.axis_coordinates()
     mesh = np.meshgrid(*([x] * g.d), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -249,15 +248,15 @@ def _step_sum_network(fn: TrunkFunction, eps: float, d: int) -> DenseNet:
     return DenseNet(((A1, b1, True), (A2, b2, False)))
 
 
-def build_trunk_networks(export: DeepOnetExport, eps: float, check_points: int = 4000):
+def build_trunk_networks(export: DeepOnetExport, eps: float):
     """Networks tau_j with verified sup_x |e_j(x) - tau_j(x)| <= eps / B_bar.
 
-    Returns (networks, verified_bound).  Raises BadParameters when the
-    verification grid finds a violation (eps too small for the step count).
+    Returns (networks, verified_bound).  Raises BadParameters when one of
+    4000 seeded check points finds a violation (eps too small for the step count).
     """
     target = eps / max(export.B_bar, 1e-300)
     rng = np.random.default_rng(13)
-    pts = rng.uniform(0.0, TWO_PI, size=(check_points, export.grid.d))
+    pts = rng.uniform(0.0, TWO_PI, size=(4000, export.grid.d))
     nets = []
     worst = 0.0
     for fn in export.trunk:

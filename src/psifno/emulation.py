@@ -9,11 +9,14 @@ smooth activation sigma:
     psi_h(y) = (sigma(x0'+hy) - sigma(x0'-hy)) / (2h sigma'(x0'))
              = y + O(h^2),                        identities/affine maps,
 
-with x0 chosen so sigma''(x0) != 0 (x0 = 1 for tanh) and x0' so
-sigma'(x0') != 0 (x0' = 0).  The step h is not derived from a formula:
-each builder halves it until a dense probe meets the accuracy target and
-records the chosen value in the model metadata (CalibrationFailed when
-float64 cancellation wins first).
+with sigma = tanh, x0 = X0 = 1 (sigma''(x0) != 0) and x0' = X0_ID = 0
+(sigma'(x0') != 0).  Only the step h depends on the accuracy target.  It
+is not derived from a formula: each builder halves it from H0 until the
+worst probe error (`_probe_error`) meets the target and records the chosen
+value in the model metadata (CalibrationFailed when float64 cancellation
+wins first).  The solver emulators also carry a psi_h step h_carry;
+`_calibrate_steps` starts both steps from the per-block error budget and
+halves them together.
 
 Exact linear algebra (derivatives, truncations, inverse Laplacians,
 Helmholtz and Leray projections) is carried by unactivated multiplier
@@ -57,14 +60,19 @@ from .spectral import (
     idft,
     inverse_laplacian,
     l2_norm,
-    l2_sup_bound,
     mode_index_list,
     random_hermitian_coeffs,
     resample,
+    sobolev_norm,
     truncation_mask,
 )
 
 H_MIN = 2.0**-40
+H0 = 0.25           # first step every calibration tries
+X0 = 1.0            # sq_h expansion point
+X0_ID = 0.0         # psi_h expansion point
+RANGE_SAFETY = 3.0  # margin on the pre-activation ranges measured on solver runs
+_SIGMA = activation("tanh")
 _SQ_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])  # sq_h(a+b) - sq_h(a) - sq_h(b) terms
 
 
@@ -89,6 +97,27 @@ def _calibrate(build, error, target: float, h0: float):
         f"no step h in [{H_MIN:.1e}, {h0:.3g}] meets the target {target:.1e} "
         f"(smallest error {best:.2e}); float64 cancellation wins first"
     )
+
+
+def _probe_error(inputs, wants, norm=l2_norm):
+    """net -> the worst norm(net(x) - want) over the probe pairs (x, want)."""
+    return lambda net: max(norm(GridField(want.grid, fno_forward(net, x).values - want.values))
+                           for x, want in zip(inputs, wants))
+
+
+def _calibrate_steps(build, budget: float, sup_carry: float, sup_prod: float, error,
+                     target: float) -> PsiFno:
+    """Calibrate build(h, h_carry) from the per-block remainder budget.
+
+    The sq_h error grows like h^2 range^4 and the psi_h error like
+    h_carry^2 range^3, which fixes the starting steps; both are then halved
+    together, so their ratio is kept and CalibrationFailed comes once the
+    smaller one falls below H_MIN.
+    """
+    h = min(H0, float(np.sqrt(budget / (0.9 * max(sup_prod, 1.0) ** 4))))
+    h_c = min(H0, float(np.sqrt(3.0 * budget / max(sup_carry, 1.0) ** 3)))
+    m = min(h, h_c)
+    return _calibrate(lambda s: build(h * (s / m), h_c * (s / m)), error, target, m)[0]
 
 
 def _ball_field(grid: Grid, rng, B: float, channels: int = 1) -> GridField:
@@ -185,19 +214,13 @@ class AffineApproxSpec:
     grid: Grid
     B: float
     eps: float
-    h: float = 0.25
-    x0: float = 0.0
     activation: str = "tanh"
 
     def __post_init__(self):
         if self.B <= 0 or self.eps <= 0:
             raise BadParameters("bound and accuracy must be positive")
-        if not 0 < self.h <= 1:
-            raise BadParameters(f"step parameter must lie in (0, 1], got {self.h}")
-        if abs(activation(self.activation).d1(self.x0)) < 1e-3:
-            raise BadParameters(
-                f"sigma'({self.x0}) is too close to zero for the identity gadget"
-            )
+        if abs(activation(self.activation).d1(X0_ID)) < 1e-3:
+            raise BadParameters(f"sigma'({X0_ID}) is too close to zero for the identity gadget")
 
 
 def _affine_approx_net(h: float, spec: AffineApproxSpec) -> PsiFno:
@@ -212,18 +235,18 @@ def _affine_approx_net(h: float, spec: AffineApproxSpec) -> PsiFno:
     if target.weight is not None:
         W[:d_v, :d_v] = h * target.weight
         W[d_v:, :d_v] = -h * target.weight
-    bias_top = np.full(d_v, spec.x0)
-    bias_bot = np.full(d_v, spec.x0)
+    bias_top = np.full(d_v, X0_ID)
+    bias_bot = np.full(d_v, X0_ID)
     bias = None
     if isinstance(target.bias, GridField):
         vals = np.empty(grid.shape + (D,))
-        vals[..., :d_v] = spec.x0 + h * target.bias.values
-        vals[..., d_v:] = spec.x0 - h * target.bias.values
+        vals[..., :d_v] = X0_ID + h * target.bias.values
+        vals[..., d_v:] = X0_ID - h * target.bias.values
         bias = GridField(grid, vals)
     else:
         if target.bias is not None:
-            bias_top = spec.x0 + h * np.asarray(target.bias)
-            bias_bot = spec.x0 - h * np.asarray(target.bias)
+            bias_top = X0_ID + h * np.asarray(target.bias)
+            bias_bot = X0_ID - h * np.asarray(target.bias)
         bias = np.concatenate([bias_top, bias_bot])
     mult = None
     if target.multiplier is not None:
@@ -239,36 +262,25 @@ def _affine_approx_net(h: float, spec: AffineApproxSpec) -> PsiFno:
     R = np.zeros((D, d_v))
     R[:d_v, :] = np.eye(d_v)
     Q = np.zeros((d_v, D))
-    scale = 1.0 / (2.0 * h * act.d1(spec.x0))
+    scale = 1.0 / (2.0 * h * act.d1(X0_ID))
     Q[:, :d_v] = scale * np.eye(d_v)
     Q[:, d_v:] = -scale * np.eye(d_v)
     return PsiFno(grid, R, (layer,), Q, spec.activation, meta={"h": h, "kind": "affine-approx"})
 
 
-def build_affine_approx(spec: AffineApproxSpec, rng=None, probes: int = 24) -> PsiFno:
+def build_affine_approx(spec: AffineApproxSpec, rng=None) -> PsiFno:
     """Activated depth-1 network matching an affine layer to eps on ||v|| <= B.
 
-    The defect is measured in the sup norm on random band-limited probes.
+    The defect is measured in the sup norm on 24 random band-limited probes.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    act = activation(spec.activation)
-    grid = spec.grid
-    fields = [_ball_field(grid, rng, spec.B, spec.layer.d_v) for _ in range(probes)]
-    targets = [
-        np.asarray(_unactivated_forward(spec.layer, v, act)) for v in fields
-    ]
-    net, _ = _calibrate(
-        lambda h: _affine_approx_net(h, spec),
-        lambda net: max(float(np.max(np.abs(fno_forward(net, v).values - want)))
-                        for v, want in zip(fields, targets)),
-        spec.eps, spec.h,
-    )
-    return net
-
-
-def _unactivated_forward(layer: FnoLayer, v: GridField, act):
+    fields = [_ball_field(spec.grid, rng, spec.B, spec.layer.d_v) for _ in range(24)]
+    layer = spec.layer
     bare = FnoLayer(layer.d_v, layer.weight, layer.bias, layer.multiplier, False)
-    return layer_forward(bare, v, act).values
+    targets = [layer_forward(bare, v, activation(spec.activation)) for v in fields]
+    return _calibrate(lambda h: _affine_approx_net(h, spec),
+                      _probe_error(fields, targets, lambda e: float(np.max(np.abs(e.values)))),
+                      spec.eps, H0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +319,19 @@ def _feed_layer(grid: Grid, D: int, mask: np.ndarray, copies, grads) -> FnoLayer
     return FnoLayer(D, None, None, FourierMultiplier(grid.d, grid.N, terms, D, check=False), False)
 
 
-def _sigma_layer(D: int, products, carries, h: float, x0: float,
-                 h_c: float = 0.0, x0_id: float = 0.0) -> FnoLayer:
-    """Activated layer: six sq_h rows at 6p (bias x0) for the p-th product
-    (col_a, col_b), then two psi_h rows (step h_c, bias x0_id) per carried channel."""
+def _sigma_layer(D: int, products, carries, h: float, h_c: float = 0.0) -> FnoLayer:
+    """Activated layer: six sq_h rows at 6p (bias X0) for the p-th product
+    (col_a, col_b), then two psi_h rows (step h_c, bias X0_ID) per carried channel."""
     W = np.zeros((D, D))
     b = np.zeros(D)
     for p, (col_a, col_b) in enumerate(products):
         _product_rows(W, 6 * p, col_a, col_b, h)
-        b[6 * p : 6 * p + 6] = x0
+        b[6 * p : 6 * p + 6] = X0
     r0 = 6 * len(products)
     for q, col in enumerate(carries):
         W[r0 + 2 * q, col] = h_c
         W[r0 + 2 * q + 1, col] = -h_c
-        b[r0 + 2 * q : r0 + 2 * q + 2] = x0_id
+        b[r0 + 2 * q : r0 + 2 * q + 2] = X0_ID
     return FnoLayer(D, W, b, None, True)
 
 
@@ -335,13 +346,13 @@ def _product_sums(groups, denom: float, D: int) -> np.ndarray:
     return rows
 
 
-def _sq_feed(W: np.ndarray, bias: np.ndarray, row: int, col, h: float, x0: float, shift=0.0):
-    """Rows row, row + 1 as sigma(x0 +- h (v_col + shift)); col None reads no channel."""
+def _sq_feed(W: np.ndarray, bias: np.ndarray, row: int, col, h: float, shift=0.0):
+    """Rows row, row + 1 as sigma(X0 +- h (v_col + shift)); col None reads no channel."""
     if col is not None:
         W[row, col] = h
         W[row + 1, col] = -h
-    bias[..., row] = x0 + h * shift
-    bias[..., row + 1] = x0 - h * shift
+    bias[..., row] = X0 + h * shift
+    bias[..., row + 1] = X0 - h * shift
 
 
 def _leray_terms(grid: Grid, scale: np.ndarray, row0: int, rows: np.ndarray) -> list:
@@ -359,7 +370,8 @@ def _leray_terms(grid: Grid, scale: np.ndarray, row0: int, rows: np.ndarray) -> 
     return terms
 
 
-def _psi_combine(row0: int, h: float, d1: float, D: int) -> np.ndarray:
+def _psi_combine(row0: int, h: float, D: int) -> np.ndarray:
+    d1 = _SIGMA.d1(X0_ID)
     row = np.zeros(D)
     row[row0] = 1.0 / (2.0 * h * d1)
     row[row0 + 1] = -1.0 / (2.0 * h * d1)
@@ -371,21 +383,20 @@ def _psi_combine(row0: int, h: float, d1: float, D: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _darcy_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
-    act = activation(act_tag)
+def _darcy_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, 2 * N)
     D = 6 * d
     mask = _mask(grid, N, zero_mean=False)
     # (a, u) -> (a, du/dx_i) -> sq_h units of a * du/dx_i -> P_N(a grad u)_i in channel i
     L1 = _feed_layer(grid, D, mask, [(0, 0)], [(1 + i, 1, i) for i in range(d)])
-    L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], (), h, x0)
-    denom = 2.0 * h * h * act.d2(x0)
+    L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], (), h)
+    denom = 2.0 * h * h * _SIGMA.d2(X0)
     C = np.zeros((D, D))
     C[:d] = _product_sums([[i] for i in range(d)], denom, D)
     bias3 = np.zeros(D)
-    bias3[:d] = 2.0 * act(x0) / denom
+    bias3[:d] = 2.0 * _SIGMA(X0) / denom
     L3 = FnoLayer(D, None, bias3, FourierMultiplier(d, grid.N, [(mask, C)], D, check=False), False)
-    return PsiFno(grid, np.eye(D, 2), (L1, L2, L3), np.eye(d, D), act_tag,
+    return PsiFno(grid, np.eye(D, 2), (L1, L2, L3), np.eye(d, D), _SIGMA.name,
                   meta={"h": h, "kind": "darcy-nonlinearity"})
 
 
@@ -403,60 +414,27 @@ def darcy_nonlinearity_oracle(a: GridField, u: GridField) -> GridField:
     return _truncated(_flux_half(a.values, _rfft_half(u.values, d), d), a.grid)
 
 
-def build_nonlinearity_net_darcy(
-    N: int,
-    B: float,
-    eps: float,
-    d: int = 2,
-    act_tag: str = "tanh",
-    ranges: tuple | None = None,
-    rng=None,
-    probes: int = 12,
-    h0: float = 0.25,
-    x0: float = 1.0,
-) -> PsiFno:
-    """Network at resolution 2N mapping (a, u) to P_N(a grad u) within eps (L^2).
-
-    `ranges` optionally supplies pointwise bounds (sup|a|, sup|grad u|) for
-    the product calibration; by default the rigorous band-limited envelopes
-    sup|v| <= sqrt(|K_N|) (2pi)^{-d/2} ||v||, sup|grad v| <= N * that, are
-    used, which for large N*B may be unreachable in float64.
-    """
+def build_nonlinearity_net_darcy(N: int, B: float, eps: float, d: int = 2, rng=None) -> PsiFno:
+    """Network at resolution 2N mapping (a, u) to P_N(a grad u) within eps (L^2)."""
     rng = rng if rng is not None else np.random.default_rng(1)
-    _check_product_range(N, d, B, eps, ranges, h0, x0, act_tag)
-    small = Grid(d, N)
-    pairs = []
-    for _i in range(probes):
-        a, u = _ball_field(small, rng, B), _ball_field(small, rng, B)
-        pairs.append((resample(a, 2 * N), resample(u, 2 * N)))
-    return _calibrate_on_pairs(lambda h: _darcy_nonlin_net(N, d, h, act_tag, x0),
-                               darcy_nonlinearity_oracle, pairs, eps, h0)
+    return _pair_net(N, d, B, eps, _darcy_nonlin_net, darcy_nonlinearity_oracle,
+                     lambda small: (_ball_field(small, rng, B), _ball_field(small, rng, B)))
 
 
-def _check_product_range(N, d, B, eps, ranges, h0, x0, act_tag) -> None:
-    """Validate the product gadget over the pointwise ranges (default: the envelopes)."""
-    if ranges is None:
-        env = l2_sup_bound(Grid(d, N), B)
-        ranges = (env, max(1.0, N) * env)
-    ProductNetSpec(1.05 * max(ranges), eps, min(h0, 1.0), x0, act_tag)
+def _pair_net(N: int, d: int, B: float, eps: float, net, oracle, draw) -> PsiFno:
+    """net(N, d, h) calibrated to 0.5*eps in L^2 against oracle on 12 probe pairs.
+
+    draw(Grid(d, N)) returns one input pair of L^2 norm B; the net and the
+    oracle see it resampled to the doubled grid."""
+    if B <= 0 or eps <= 0:
+        raise BadParameters("bound and accuracy must be positive")
+    pairs = [[resample(v, 2 * N) for v in draw(Grid(d, N))] for _ in range(12)]
+    inputs = [GridField(x.grid, np.concatenate([x.values, y.values], -1)) for x, y in pairs]
+    return _calibrate(lambda h: net(N, d, h),
+                      _probe_error(inputs, [oracle(x, y) for x, y in pairs]), 0.5 * eps, H0)[0]
 
 
-def _calibrate_on_pairs(build, oracle, pairs, eps: float, h0: float) -> PsiFno:
-    """Calibrate a two-input network to 0.5*eps in L^2 against oracle on probe pairs."""
-    targets = [oracle(x, y) for x, y in pairs]
-
-    def error(net: PsiFno) -> float:
-        worst = 0.0
-        for (x, y), want in zip(pairs, targets):
-            got = fno_forward(net, GridField(x.grid, np.concatenate([x.values, y.values], -1)))
-            worst = max(worst, l2_norm(GridField(got.grid, got.values - want.values)))
-        return worst
-
-    return _calibrate(build, error, 0.5 * eps, min(h0, 1.0))[0]
-
-
-def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
-    act = activation(act_tag)
+def _ns_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, 2 * N)
     D = 6 * d * d
     mask = _mask(grid, N, zero_mean=False)
@@ -465,15 +443,15 @@ def _ns_nonlin_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     pairs = [(i, m) for i in range(d) for m in range(d)]
     L1 = _feed_layer(grid, D, mask, [(c, c) for c in range(d)],
                      [(d + i * d + m, d + m, i) for i, m in pairs])
-    L2 = _sigma_layer(D, [(i, d + i * d + m) for i, m in pairs], (), h, x0)
+    L2 = _sigma_layer(D, [(i, d + i * d + m) for i, m in pairs], (), h)
 
     # F-layer: Leray-truncated combine of adv_m = sum_i u_i dw_m/dx_i
-    denom = 2.0 * h * h * act.d2(x0)
+    denom = 2.0 * h * h * _SIGMA.d2(X0)
     C = np.zeros((D, D))
     C[:d] = _product_sums([[i * d + m for i in range(d)] for m in range(d)], denom, D)
     terms3 = [(mask_dot, C)] + _leray_terms(grid, -mask_dot, 0, C[:d])
     L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
-    return PsiFno(grid, np.eye(D, 2 * d), (L1, L2, L3), np.eye(d, D), act_tag,
+    return PsiFno(grid, np.eye(D, 2 * d), (L1, L2, L3), np.eye(d, D), _SIGMA.name,
                   meta={"h": h, "kind": "ns-nonlinearity"})
 
 
@@ -483,31 +461,14 @@ def ns_nonlinearity_oracle(u2: GridField, w2: GridField) -> GridField:
     return _truncated(_advection_half(u2.values, _rfft_half(w2.values, d), d), u2.grid)
 
 
-def build_ns_nonlinearity_net(
-    N: int,
-    B: float,
-    eps: float,
-    d: int = 2,
-    act_tag: str = "tanh",
-    ranges: tuple | None = None,
-    rng=None,
-    probes: int = 12,
-    h0: float = 0.25,
-    x0: float = 1.0,
-) -> PsiFno:
+def build_ns_nonlinearity_net(N: int, B: float, eps: float, d: int = 2, rng=None) -> PsiFno:
     """Network at resolution 2N mapping (u, w) to PL_N(u . grad w) within eps."""
     from .navier_stokes import random_divergence_free
 
     rng = rng if rng is not None else np.random.default_rng(2)
-    _check_product_range(N, d, B, eps, ranges, h0, x0, act_tag)
-    small = Grid(d, N)
-    pairs = []
-    for _i in range(probes):
-        u = random_divergence_free(small, rng, norm=B)
-        w = random_divergence_free(small, rng, norm=B)
-        pairs.append((resample(u, 2 * N), resample(w, 2 * N)))
-    return _calibrate_on_pairs(lambda h: _ns_nonlin_net(N, d, h, act_tag, x0),
-                               ns_nonlinearity_oracle, pairs, eps, h0)
+    return _pair_net(N, d, B, eps, _ns_nonlin_net, ns_nonlinearity_oracle,
+                     lambda small: (random_divergence_free(small, rng, norm=B),
+                                    random_divergence_free(small, rng, norm=B)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +476,12 @@ def build_ns_nonlinearity_net(
 # ---------------------------------------------------------------------------
 
 
-def build_darcy_emulator(
-    f: GridField,
-    lam: float,
-    N: int,
-    k: int,
-    B: float,
-    eps: float,
-    d: int = 2,
-    act_tag: str = "tanh",
-    rng=None,
-    calibration_probes: int = 4,
-    range_safety: float = 3.0,
-    x0: float = 1.0,
-    x0_id: float = 0.0,
-) -> PsiFno:
+def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps: float,
+                         rng=None, calibration_probes: int = 4) -> PsiFno:
     """Network replaying the Darcy fixed-point algorithm for a fixed source.
 
-    Input: the coefficient a sampled at resolution >= 2N (one channel).
+    Input: the coefficient a sampled at resolution >= 2N (one channel), in
+    the dimension of the source f.
     Output: the approximate solution u_N (one channel, band-limited to N,
     represented at resolution 2N).  The end-to-end H^1 discrepancy against
     the solver is verified on coercive calibration probes and h is reduced
@@ -541,7 +490,7 @@ def build_darcy_emulator(
     from . import darcy as darcy_mod
 
     rng = rng if rng is not None else np.random.default_rng(3)
-    act = activation(act_tag)
+    d = f.grid.d
     K = darcy_mod.iteration_count(lam, N, k)
     grid = Grid(d, 2 * N)
     D = 6 * d + 2
@@ -551,26 +500,19 @@ def build_darcy_emulator(
         darcy_mod.random_decay_coefficient(d, 2 * N, lam, rng) for _ in range(calibration_probes)
     ]
     f_in = f if f.grid.N >= 2 * N else resample(f, 2 * N)
-    solutions = []
+    solutions = [darcy_mod.solve(darcy_mod.DarcyProblem(a, f_in, lam, k, N)) for a in probes]
     sup_a, sup_g = 0.0, 0.0
-    for a in probes:
-        prob = darcy_mod.DarcyProblem(a, f_in, lam, k, N)
-        sol = darcy_mod.solve(prob)
-        solutions.append(sol.u)
-        atilde_N, f_N = darcy_mod.prepare_coefficients(prob.a, prob.f, N)
-        sup_a = max(sup_a, float(np.max(np.abs(resample(atilde_N, 2 * N).values))))
-        op = darcy_mod.PicardOperator(atilde_N, f_N)
-        u = GridField(atilde_N.grid, np.zeros(atilde_N.grid.shape + (1,)))
+    for sol in solutions:
+        sup_a = max(sup_a, float(np.max(np.abs(resample(sol.atilde_N, 2 * N).values))))
+        op = darcy_mod.PicardOperator(sol.atilde_N, sol.f_N)
+        u = GridField(sol.atilde_N.grid, np.zeros(sol.atilde_N.grid.shape + (1,)))
         for _ in range(sol.iterations):
             u = op.apply(u)
             for ax in range(d):
                 sup_g = max(sup_g, float(np.max(np.abs(resample(derivative(u, ax), 2 * N).values))))
-    sup_a = range_safety * max(sup_a, 0.1)
-    sup_g = range_safety * max(sup_g, 0.1)
-
-    ones = GridField(f_in.grid, np.ones(f_in.grid.shape + (1,)))
-    _, f_N = darcy_mod.prepare_coefficients(ones, f_in, N)
-    bias_field_vals = resample(inverse_laplacian(f_N), 2 * N).values
+    sup_a = RANGE_SAFETY * max(sup_a, 0.1)
+    sup_g = RANGE_SAFETY * max(sup_g, 0.1)
+    bias_field_vals = resample(inverse_laplacian(solutions[0].f_N), 2 * N).values
 
     mask_dot = _mask(grid, N, zero_mean=True)
     lat = _lattice(d, grid.N)
@@ -581,12 +523,12 @@ def build_darcy_emulator(
 
     def build(h: float, h_c: float) -> PsiFno:
         # block layer 2: products atilde * g_i plus the psi carry of atilde
-        L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], [0], h, x0, h_c, x0_id)
+        L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], [0], h, h_c)
 
         # block layer 3: atilde carry + u update with the lifted source bias
-        denom = 2.0 * h * h * act.d2(x0)
+        denom = 2.0 * h * h * _SIGMA.d2(X0)
         A_carry = np.zeros((D, D))
-        A_carry[0] = _psi_combine(6 * d, h_c, act.d1(x0_id), D)
+        A_carry[0] = _psi_combine(6 * d, h_c, D)
         terms3 = [(mask_dot, A_carry)]
         for i, row in enumerate(_product_sums([[p] for p in range(d)], denom, D)):
             A_i = np.zeros((D, D))
@@ -597,30 +539,14 @@ def build_darcy_emulator(
             FourierMultiplier(d, grid.N, terms3, D, check=False), False,
         )
         return PsiFno(
-            grid, np.eye(D, 1), (L1, L2, L3) * K, np.eye(1, D, 1), act_tag,
+            grid, np.eye(D, 1), (L1, L2, L3) * K, np.eye(1, D, 1), _SIGMA.name,
             meta={"h": h, "h_carry": h_c, "K": K, "kind": "darcy-emulator",
                   "ranges": [sup_a, sup_g], "lam": lam, "k": k, "N": N, "B": B},
         )
 
-    # initial steps from the remainder budget: sq_h error ~ C h^2 range^4
-    budget = eps / (2.0 * K)
-    h = min(0.25, float(np.sqrt(budget / (0.9 * max(sup_a + sup_g, 1.0) ** 4))))
-    h_c = min(0.25, float(np.sqrt(3.0 * budget / max(sup_a, 1.0) ** 3)))
-    refs = [resample(u_ref, 2 * N) for u_ref in solutions]
-    return _calibrate(
-        _scaled(build, h, h_c),
-        lambda net: max(darcy_mod.h1_error_against(fno_forward(net, a), u_ref)
-                        for a, u_ref in zip(probes, refs)),
-        0.7 * eps, min(h, h_c),
-    )[0]
-
-
-def _scaled(build, h: float, h_c: float):
-    """s -> build(h, h_c) with both steps scaled by s / min(h, h_c).
-
-    Halving s from min(h, h_c) halves both steps exactly, so s < H_MIN when either is."""
-    m = min(h, h_c)
-    return lambda s: build(h * (s / m), h_c * (s / m))
+    refs = [resample(sol.u, 2 * N) for sol in solutions]
+    return _calibrate_steps(build, eps / (2.0 * K), sup_a, sup_a + sup_g,
+                            _probe_error(probes, refs, lambda e: sobolev_norm(e, 1.0)), 0.7 * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -628,27 +554,17 @@ def _scaled(build, h: float, h_c: float):
 # ---------------------------------------------------------------------------
 
 
-def build_ns_emulator(
-    config,
-    eps_total: float,
-    act_tag: str = "tanh",
-    rng=None,
-    calibration_probes: int = 3,
-    range_safety: float = 3.0,
-    x0: float = 1.0,
-    x0_id: float = 0.0,
-) -> PsiFno:
+def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
     """Network replaying the first-order scheme: n_T * kappa0 advection blocks.
 
     The per-block accuracy target is eps_total / (n_T * kappa0 * Lambda)
     with Lambda a measured trajectory Lipschitz bound; h is halved until
-    the end-to-end trajectory discrepancy on calibration probes meets
+    the end-to-end trajectory discrepancy on three calibration probes meets
     eps_total.
     """
     from . import navier_stokes as ns
 
     rng = rng if rng is not None else np.random.default_rng(4)
-    act = activation(act_tag)
     d, N = config.d, config.N
     nu, tau = config.nu, config.tau
     n_T = config.n_steps
@@ -660,7 +576,7 @@ def build_ns_emulator(
     small = Grid(d, N)
     probes = [config.u0] + [
         ns.random_divergence_free(small, rng, norm=0.9 * l2_norm(config.u0) or 0.9 * config.U)
-        for _ in range(calibration_probes - 1)
+        for _ in range(2)
     ]
     finals, sup_u, sup_g = [], 0.0, 0.0
     for u0 in probes:
@@ -679,8 +595,8 @@ def build_ns_emulator(
     run_p = ns.simulate(replace(config, U=config.U * (1 + 1e-2), u0=pert), "first")
     lam_traj = l2_norm(GridField(small, run_p.final.u.values - finals[0].values)) / l2_norm(delta)
     Lambda = max(1.0, lam_traj)
-    sup_u = range_safety * max(sup_u, 0.1)
-    sup_g = range_safety * max(2.0 * sup_g, 0.1)  # inner iterates reach ~2||u||
+    sup_u = RANGE_SAFETY * max(sup_u, 0.1)
+    sup_g = RANGE_SAFETY * max(2.0 * sup_g, 0.1)  # inner iterates reach ~2||u||
 
     mask_dot = _mask(grid, N, zero_mean=True)
     inv_helm = (mask_dot / (1.0 + nu * tau * _lattice(grid.d, grid.N).k2)).astype(complex)
@@ -697,10 +613,9 @@ def build_ns_emulator(
 
     def build(h: float, h_c: float) -> PsiFno:
         # sigma-layer: products u_i * g_{i,m} plus psi carry of u
-        L2 = _sigma_layer(D, [(i, row) for row, _, i in grads], range(d), h, x0, h_c, x0_id)
-        denom = 2.0 * h * h * act.d2(x0)
-        carry = np.array([_psi_combine(6 * d * d + 2 * c, h_c, act.d1(x0_id), D)
-                          for c in range(d)])
+        L2 = _sigma_layer(D, [(i, row) for row, _, i in grads], range(d), h, h_c)
+        denom = 2.0 * h * h * _SIGMA.d2(X0)
+        carry = np.array([_psi_combine(6 * d * d + 2 * c, h_c, D) for c in range(d)])
         adv = _product_sums([[i * d + m for i in range(d)] for m in range(d)], denom, D)
 
         # F-layer: u rows get the carried u, w rows get F(w)
@@ -715,21 +630,14 @@ def build_ns_emulator(
         L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
         return PsiFno(
             grid, np.eye(D, d), tuple(L for feed in feeds for L in (feed, L2, L3)),
-            np.eye(d, D, d), act_tag,
+            np.eye(d, D, d), _SIGMA.name,
             meta={"h": h, "h_carry": h_c, "n_T": n_T, "kappa0": kap,
                   "Lambda": Lambda, "kind": "ns-emulator", "ranges": [sup_u, sup_g]},
         )
 
-    budget = eps_total / (n_T * kap * Lambda)
-    h = min(0.25, float(np.sqrt(budget / (0.9 * max(sup_u + sup_g, 1.0) ** 4))))
-    h_c = min(0.25, float(np.sqrt(3.0 * budget / max(sup_u, 1.0) ** 3)))
     refs = [resample(u_ref, 2 * N) for u_ref in finals]
-    return _calibrate(
-        _scaled(build, h, h_c),
-        lambda net: max(l2_norm(GridField(grid, fno_forward(net, u0).values - u_ref.values))
-                        for u0, u_ref in zip(probes, refs)),
-        0.7 * eps_total, min(h, h_c),
-    )[0]
+    return _calibrate_steps(build, eps_total / (n_T * kap * Lambda), sup_u, sup_u + sup_g,
+                            _probe_error(probes, refs), 0.7 * eps_total)
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +661,7 @@ def _delta0(grid: Grid) -> np.ndarray:
     return s
 
 
-def _ft_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
-    act = activation(act_tag)
+def _ft_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, N)
     cosf, sinf, ks = _phase_fields(grid)
     K = len(ks)
@@ -765,16 +672,16 @@ def _ft_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     bias_vals = np.zeros(grid.shape + (D,))
     for t in range(K):
         for r, trig in ((8 * t, cosf[t]), (8 * t + 4, sinf[t])):
-            _sq_feed(W1, bias_vals, r, 0, h, x0, trig)          # sq_h(v + trig)
-            _sq_feed(W1, bias_vals, r + 2, None, h, x0, trig)   # sq_h(trig)
-    _sq_feed(W1, bias_vals, 8 * K, 0, h, x0)                    # shared sq_h(v)
+            _sq_feed(W1, bias_vals, r, 0, h, trig)          # sq_h(v + trig)
+            _sq_feed(W1, bias_vals, r + 2, None, h, trig)   # sq_h(trig)
+    _sq_feed(W1, bias_vals, 8 * K, 0, h)                    # shared sq_h(v)
     L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
 
     # zero-mode multiplier: averaging the products gives Re / -Im
-    denom = 2.0 * h * h * act.d2(x0)
+    denom = 2.0 * h * h * _SIGMA.d2(X0)
     C = np.zeros((D, D))
     bias2 = np.zeros(D)
-    const = 2.0 * act(x0) / denom
+    const = 2.0 * _SIGMA(X0) / denom
     for t in range(K):
         r = 8 * t
         # Re(v_k) = mean( v cos<k,x> ),  Im(v_k) = -mean( v sin<k,x> )
@@ -792,21 +699,11 @@ def _ft_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     R[0, 0] = 1.0
     Q = np.zeros((2 * K, D))
     Q[:, : 2 * K] = np.eye(2 * K)
-    return PsiFno(grid, R, (L1, L2), Q, act_tag,
+    return PsiFno(grid, R, (L1, L2), Q, _SIGMA.name,
                   meta={"h": h, "kind": "ft-emulator", "modes": ks.tolist()})
 
 
-def build_ft_emulator(
-    N: int,
-    B: float,
-    eps: float,
-    d: int = 1,
-    act_tag: str = "tanh",
-    rng=None,
-    probes: int = 16,
-    h0: float = 0.25,
-    x0: float = 1.0,
-) -> PsiFno:
+def build_ft_emulator(N: int, B: float, eps: float, d: int = 1, rng=None) -> PsiFno:
     """Network emitting 2|K_N| constant channels: (Re v_k, Im v_k) to eps each.
 
     Channel 2t holds the real part of coefficient k_t, channel 2t+1 the
@@ -822,7 +719,7 @@ def build_ft_emulator(
     fields.append(GridField(grid, np.full(grid.shape + (1,), -c_max)))
     x0_coord = np.broadcast_to(grid.coordinates()[0], grid.shape)
     fields.append(GridField(grid, (np.sqrt(2.0) * c_max * np.cos(x0_coord))[..., None]))
-    fields += [_ball_field(grid, rng, B) for _ in range(probes)]
+    fields += [_ball_field(grid, rng, B) for _ in range(16)]
     targets = []
     for v in fields:
         c = dft(v).coeffs[..., 0].ravel()
@@ -837,11 +734,10 @@ def build_ft_emulator(
             worst = max(worst, float(np.max(np.std(flat, axis=0))))
         return worst
 
-    return _calibrate(lambda h: _ft_net(N, d, h, act_tag, x0), error, 0.5 * eps, min(h0, 1.0))[0]
+    return _calibrate(lambda h: _ft_net(N, d, h), error, 0.5 * eps, H0)[0]
 
 
-def _ift_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
-    act = activation(act_tag)
+def _ift_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, N)
     cosf, sinf, ks = _phase_fields(grid)
     K = len(ks)
@@ -852,40 +748,30 @@ def _ift_net(N: int, d: int, h: float, act_tag: str, x0: float) -> PsiFno:
     for t in range(K):
         for ell, trig in ((0, cosf[t]), (1, sinf[t])):
             r, col = 12 * t + 6 * ell, 2 * t + ell
-            _sq_feed(W1, bias_vals, r, col, h, x0, trig)         # sq_h(w + trig)
-            _sq_feed(W1, bias_vals, r + 2, col, h, x0)           # sq_h(w)
-            _sq_feed(W1, bias_vals, r + 4, None, h, x0, trig)    # sq_h(trig)
+            _sq_feed(W1, bias_vals, r, col, h, trig)         # sq_h(w + trig)
+            _sq_feed(W1, bias_vals, r + 2, col, h)           # sq_h(w)
+            _sq_feed(W1, bias_vals, r + 4, None, h, trig)    # sq_h(trig)
     L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
 
-    denom = 2.0 * h * h * act.d2(x0)
+    denom = 2.0 * h * h * _SIGMA.d2(X0)
     combine = np.zeros((D, D))
     const = 0.0
     for t in range(K):
         for ell, sign in ((0, 1.0), (1, -1.0)):  # v = sum_k Re_k cos - Im_k sin
             r = 12 * t + 6 * ell
             combine[0, r : r + 6] += sign * _SQ_SIGNS / denom
-            const += sign * 2.0 * act(x0) / denom
+            const += sign * 2.0 * _SIGMA(X0) / denom
     L2 = FnoLayer(D, combine, np.concatenate([[const], np.zeros(D - 1)]), None, False)
 
     R = np.zeros((D, 2 * K))
     R[: 2 * K, :] = np.eye(2 * K)
     Q = np.zeros((1, D))
     Q[0, 0] = 1.0
-    return PsiFno(grid, R, (L1, L2), Q, act_tag,
+    return PsiFno(grid, R, (L1, L2), Q, _SIGMA.name,
                   meta={"h": h, "kind": "ift-emulator", "modes": ks.tolist()})
 
 
-def build_ift_emulator(
-    N: int,
-    B: float,
-    eps: float,
-    d: int = 1,
-    act_tag: str = "tanh",
-    rng=None,
-    probes: int = 16,
-    h0: float = 0.25,
-    x0: float = 1.0,
-) -> PsiFno:
+def build_ift_emulator(N: int, B: float, eps: float, d: int = 1, rng=None) -> PsiFno:
     """Network reconstructing a field from 2|K_N| constant coefficient channels.
 
     For inputs w = (Re v_k, Im v_k) with |entries| <= B it returns v to eps
@@ -893,22 +779,16 @@ def build_ift_emulator(
     """
     rng = rng if rng is not None else np.random.default_rng(6)
     grid = Grid(d, N)
-    pairs = []
-    for _ in range(probes):
+    inputs, wants = [], []
+    for _ in range(16):
         v = idft(random_hermitian_coeffs(grid, rng))
         scale = B / max(float(np.max(np.abs(dft(v).coeffs))), 1e-30) * 0.9
         v = GridField(grid, v.values * scale)
         c = dft(v).coeffs[..., 0].ravel()
         w = np.stack([c.real, c.imag], axis=-1).ravel()
-        w_field = GridField(grid, np.broadcast_to(w, grid.shape + w.shape).copy())
-        pairs.append((w_field, v))
-
-    return _calibrate(
-        lambda h: _ift_net(N, d, h, act_tag, x0),
-        lambda net: max(l2_norm(GridField(grid, fno_forward(net, w).values - v.values))
-                        for w, v in pairs),
-        0.5 * eps, min(h0, 1.0),
-    )[0]
+        inputs.append(GridField(grid, np.broadcast_to(w, grid.shape + w.shape).copy()))
+        wants.append(v)
+    return _calibrate(lambda h: _ift_net(N, d, h), _probe_error(inputs, wants), 0.5 * eps, H0)[0]
 
 
 def fourier_conjugate_pipeline(inner: PsiFno, ft: PsiFno, ift: PsiFno) -> PsiFno:
@@ -928,13 +808,13 @@ def fourier_conjugate_pipeline(inner: PsiFno, ft: PsiFno, ift: PsiFno) -> PsiFno
 # ---------------------------------------------------------------------------
 
 
-def strictify(net: PsiFno, B: float, eps: float, rng=None, probes: int = 8) -> PsiFno:
+def strictify(net: PsiFno, B: float, eps: float, rng=None) -> PsiFno:
     """Equivalent network in which every layer applies the activation.
 
     Each unactivated layer is replaced by its psi_h approximation (an
     activated layer whose recombination folds into the neighbouring
     layer), so the result matches the strict layer form sigma(Wv+b+conv).
-    Per-layer input bounds are measured by forwarding probe fields.
+    Per-layer input bounds are measured by forwarding eight probe fields.
     """
     rng = rng if rng is not None else np.random.default_rng(7)
     act = activation(net.activation)
@@ -942,7 +822,7 @@ def strictify(net: PsiFno, B: float, eps: float, rng=None, probes: int = 8) -> P
 
     # measure per-layer input L2 bounds on ||a|| <= B probes
     bounds = [0.0] * net.depth
-    for _ in range(probes):
+    for _ in range(8):
         v = GridField(grid, _ball_field(grid, rng, B, net.d_a).values @ net.lifting.T)
         for i, layer in enumerate(net.layers):
             bounds[i] = max(bounds[i], l2_norm(v))

@@ -78,10 +78,40 @@ def local_rates(params, errors):
     return out
 
 
-def _require(params: dict, keys) -> None:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ConfigInvalid(f"missing config keys: {missing}")
+_REQUIRED = object()
+
+
+def _param(params: dict, key: str, kind, default=_REQUIRED):
+    """kind(params[key]), or default when the key is absent.
+
+    Raises ConfigInvalid for a missing key without a default and for a
+    value that kind rejects with TypeError or ValueError.
+    """
+    if key not in params:
+        if default is _REQUIRED:
+            raise ConfigInvalid(f"missing config key {key!r}")
+        return default
+    try:
+        return kind(params[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"config key {key!r}: {exc}") from None
+
+
+def _typed(t):
+    """A kind that accepts values of type t unchanged and rejects the rest."""
+    def check(value):
+        if not isinstance(value, t):
+            raise TypeError(f"expected {t.__name__}, got {value!r}")
+        return value
+    return check
+
+
+def _list_of(kind):
+    def parse(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise TypeError(f"expected a non-empty list, got {value!r}")
+        return [kind(v) for v in value]
+    return parse
 
 
 def _fan_out(tasks, worker, jobs: int):
@@ -202,42 +232,41 @@ def run_property_suite(params: dict, seed: int, jobs: int = 1):
 
 
 def _darcy_coefficient(spec: dict, resolution: int, lam: float, rng):
-    kind = spec.get("kind", "trig")
+    kind = _param(spec, "kind", _typed(str), "trig")
     if kind == "trig":
-        return dm.trig_coefficient(2, resolution, spec.get("amplitude", 0.3))
+        return dm.trig_coefficient(2, resolution, _param(spec, "amplitude", float, 0.3))
     if kind == "random_decay":
         return dm.random_decay_coefficient(
             2, resolution, lam, rng,
-            length_scale=spec.get("length_scale", 0.7),
-            rho=spec.get("rho", 0.9),
+            length_scale=_param(spec, "length_scale", float, 0.7),
+            rho=_param(spec, "rho", float, 0.9),
         )
     raise ConfigInvalid(f"unknown coefficient kind {kind!r}")
 
 
 def run_darcy_converge(params: dict, seed: int, jobs: int = 1):
-    _require(params, ["lambda", "k", "N_list"])
-    lam = float(params["lambda"])
-    k = int(params["k"])
-    N_list = [int(n) for n in params["N_list"]]
+    lam = _param(params, "lambda", float)
+    k = _param(params, "k", int)
+    N_list = _param(params, "N_list", _list_of(int))
     rng = np.random.default_rng(seed)
-    source = params.get("source", {"kind": "manufactured"})
+    source = _param(_param(params, "source", _typed(dict), {}), "kind", _typed(str), "manufactured")
 
     N_max = max(N_list)
-    if source.get("kind", "manufactured") == "manufactured":
+    if source == "manufactured":
         a, f, u_ref = dm.manufactured_problem(2, lam, k, N_max, rng)
-    elif source["kind"] == "trig":
+    elif source == "trig":
         res = 4 * N_max
-        a = _darcy_coefficient(params.get("coefficient", {}), res, lam, rng)
+        a = _darcy_coefficient(_param(params, "coefficient", _typed(dict), {}), res, lam, rng)
         f = field_from_function(Grid(2, res), lambda x, y: np.cos(x) + np.sin(2 * y))
         u_ref = dm.solve(dm.DarcyProblem(a, f, lam, k, 2 * N_max)).u
     else:
-        raise ConfigInvalid(f"unknown source kind {source.get('kind')!r}")
+        raise ConfigInvalid(f"unknown source kind {source!r}")
 
     def one(N):
         t0 = time.perf_counter()
         sol = dm.solve(dm.DarcyProblem(a, f, lam, k, N))
-        atilde, f_N = dm.prepare_coefficients(a, f, N)
-        lip = dm.empirical_lipschitz(atilde, f_N, np.random.default_rng(seed + N), pairs=20)
+        lip = dm.empirical_lipschitz(sol.atilde_N, sol.f_N, np.random.default_rng(seed + N),
+                                     pairs=20)
         err_l2 = dm.l2_error_against(sol.u, u_ref)
         err_h1 = dm.h1_error_against(sol.u, u_ref)
         return {
@@ -261,42 +290,33 @@ def run_darcy_converge(params: dict, seed: int, jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _ns_initial(init: dict, N: int, nu: float, rng):
-    kind = init.get("kind", "taylor-green")
-    if kind == "taylor-green":
-        return ns.taylor_green(nu, 0.0, N, amplitude=init.get("amplitude", 1.0))
-    if kind == "random":
-        return ns.random_divergence_free(Grid(2, N), rng, norm=float(init["norm"]))
-    raise ConfigInvalid(f"unknown init kind {kind!r}")
-
-
 def run_ns_converge(params: dict, seed: int, jobs: int = 1):
-    _require(params, ["d", "N", "nu", "T", "U", "scheme"])
-    if int(params["d"]) != 2:
+    if _param(params, "d", int) != 2:
         raise ConfigInvalid("convergence studies use the analytic 2-d vortex oracle")
-    N, nu, T, U = int(params["N"]), float(params["nu"]), float(params["T"]), float(params["U"])
-    scheme = params["scheme"]
+    N = _param(params, "N", int)
+    nu, T, U = (_param(params, key, float) for key in ("nu", "T", "U"))
+    scheme = _param(params, "scheme", _typed(str))
     if scheme not in ("first", "second"):
         raise ConfigInvalid(f"scheme must be 'first' or 'second', got {scheme!r}")
-    taus = [float(t) for t in (params["tau_list"] if "tau_list" in params else [params["tau"]])]
-    init = params.get("init", {"kind": "taylor-green"})
-    if init.get("kind", "taylor-green") != "taylor-green":
+    taus = _param(params, "tau_list", _list_of(float), None) or [_param(params, "tau", float)]
+    init = _param(params, "init", _typed(dict), {})
+    if _param(init, "kind", _typed(str), "taylor-green") != "taylor-green":
         raise ConfigInvalid("the convergence oracle requires taylor-green initial data")
-    enforce_cfl = bool(params.get("enforce_cfl", False))
-    rng = np.random.default_rng(seed)
-    checkpoint_dir = params.get("checkpoint_dir")
+    amplitude = _param(init, "amplitude", float, 1.0)
+    enforce_cfl = _param(params, "enforce_cfl", _typed(bool), False)
+    checkpoint_every = _param(params, "checkpoint_every", int, None)
+    checkpoint_dir = _param(params, "checkpoint_dir", _typed(str), None)
 
     def one(row):
         i, tau = row
         t0 = time.perf_counter()
-        u0 = _ns_initial(init, N, nu, rng)
+        u0 = ns.taylor_green(nu, 0.0, N, amplitude=amplitude)
         cfg = ns.NsConfig(d=2, N=N, nu=nu, T=T, tau=tau, U=U, u0=u0,
                           enforce_cfl=enforce_cfl)
         # one subdirectory per row, so rows never share a checkpoint file
-        run = ns.simulate(cfg, scheme,
-                          checkpoint_every=params.get("checkpoint_every"),
+        run = ns.simulate(cfg, scheme, checkpoint_every=checkpoint_every,
                           checkpoint_dir=checkpoint_dir and f"{checkpoint_dir}/tau_{i:02d}")
-        exact = ns.taylor_green(nu, T, N, amplitude=init.get("amplitude", 1.0))
+        exact = ns.taylor_green(nu, T, N, amplitude=amplitude)
         err = l2_norm(GridField(u0.grid, run.final.u.values - exact.values))
         kap = ns.kappa0(T, tau, order=1 if scheme == "first" else 2)
         return {
@@ -327,11 +347,10 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
 def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
     from .emulation import build_darcy_emulator
 
-    _require(params, ["lambda", "k", "N_list", "eps", "probes"])
-    lam, k = float(params["lambda"]), int(params["k"])
-    eps = float(params["eps"])
-    N_list = [int(n) for n in params["N_list"]]
-    n_probes = int(params["probes"])
+    lam, k = _param(params, "lambda", float), _param(params, "k", int)
+    eps = _param(params, "eps", float)
+    N_list = _param(params, "N_list", _list_of(int))
+    n_probes = _param(params, "probes", int)
     rows, nets = [], {}
     for N in N_list:
         f = field_from_function(Grid(2, 2 * N), lambda x, y: np.cos(x) + np.sin(2 * y))
@@ -371,13 +390,11 @@ def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
 def run_ns_emulate(params: dict, seed: int, jobs: int = 1):
     from .emulation import build_ns_emulator
 
-    _require(params, ["N", "nu", "n_T", "U", "eps_total", "probes"])
-    N, nu, U = int(params["N"]), float(params["nu"]), float(params["U"])
-    n_T = int(params["n_T"])
-    eps_total = float(params["eps_total"])
-    tau = float(params.get("tau", 0.9 * ns.max_cfl_timestep(U, N, 2)))
+    N, n_T, n_probes = (_param(params, key, int) for key in ("N", "n_T", "probes"))
+    nu, U, eps_total = (_param(params, key, float) for key in ("nu", "U", "eps_total"))
+    tau = _param(params, "tau", float, 0.9 * ns.max_cfl_timestep(U, N, 2))
     rng = np.random.default_rng(seed)
-    u0 = ns.taylor_green(nu, 0.0, N, amplitude=float(params.get("tg_amplitude", 0.1)))
+    u0 = ns.taylor_green(nu, 0.0, N, amplitude=_param(params, "tg_amplitude", float, 0.1))
     if l2_norm(u0) > U:
         raise ConfigInvalid("Taylor-Green amplitude exceeds the energy bound U")
     cfg = ns.NsConfig(d=2, N=N, nu=nu, T=n_T * tau, tau=tau, U=U, u0=u0)
@@ -387,7 +404,7 @@ def run_ns_emulate(params: dict, seed: int, jobs: int = 1):
     rep = size_report(net)
 
     inits = [("taylor-green", u0)]
-    for p in range(int(params["probes"])):
+    for p in range(n_probes):
         inits.append(
             (f"random-{p}",
              ns.random_divergence_free(Grid(2, N), rng, norm=0.8 * U))
@@ -416,12 +433,12 @@ def run_ft_emulate(params: dict, seed: int, jobs: int = 1):
     from .fno import compose
     from .emulation import build_ft_emulator, build_ift_emulator
 
-    _require(params, ["cases", "eps", "B"])
-    eps, B = float(params["eps"]), float(params["B"])
+    eps, B = _param(params, "eps", float), _param(params, "B", float)
+    cases = [(_param(case, "d", int), _param(case, "N", int))
+             for case in _param(params, "cases", _list_of(_typed(dict)))]
     rng = np.random.default_rng(seed)
     rows = []
-    for case in params["cases"]:
-        d, N = int(case["d"]), int(case["N"])
+    for d, N in cases:
         t0 = time.perf_counter()
         ft = build_ft_emulator(N, B=B, eps=eps / 2, d=d, rng=rng)
         ift = build_ift_emulator(N, B=B, eps=eps / 2, d=d, rng=rng)
@@ -457,13 +474,14 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
     from .fno import FnoLayer, FourierMultiplier, PsiFno
     from .spectral import evaluate
 
-    _require(params, ["d", "N", "probes"])
-    d, N = int(params["d"]), int(params["N"])
+    d, N, n_probes = (_param(params, key, int) for key in ("d", "N", "probes"))
+    d_v, depth = _param(params, "d_v", int, 3), _param(params, "depth", int, 2)
+    B = _param(params, "B", float, 1.0)
+    out_model = _param(params, "out_model", _typed(str), None)
     rng = np.random.default_rng(seed)
     g = Grid(d, N)
-    d_v = int(params.get("d_v", 3))
     layers = []
-    for _ in range(int(params.get("depth", 2))):
+    for _ in range(depth):
         w = rng.standard_normal((d_v, d_v)) / d_v
         raw = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
         s = 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(d)))))
@@ -471,15 +489,15 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
         layers.append(FnoLayer(d_v, w, random_field(g, rng, channels=d_v), mult, True))
     net = PsiFno(g, rng.standard_normal((d_v, 1)), tuple(layers),
                  rng.standard_normal((1, d_v)) / d_v)
-    export = to_deeponet(net, B=float(params.get("B", 1.0)), rng=rng)
-    if "out_model" in params:
+    export = to_deeponet(net, B=B, rng=rng)
+    if out_model is not None:
         from .deeponet import save_deeponet
 
-        save_deeponet(export, net, params["out_model"])
+        save_deeponet(export, net, out_model)
 
     rows = []
     worst = 0.0
-    for p in range(int(params["probes"])):
+    for p in range(n_probes):
         t0 = time.perf_counter()
         r2 = np.random.default_rng(seed + 10 + p)
         a = idft(random_hermitian_coeffs(g, r2))

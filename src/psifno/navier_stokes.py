@@ -327,16 +327,10 @@ def taylor_green(nu: float, t: float, N: int, d: int = 2, amplitude: float = 1.0
     )
 
 
-def random_divergence_free(
-    grid: Grid,
-    rng: np.random.Generator,
-    norm: float,
-    decay=None,
-) -> GridField:
-    """Leray-projected random band-limited field normalized to the given L2 norm."""
-    if decay is None:
-        decay = lambda kk: np.exp(-0.5 * kk)
-    u = idft(random_hermitian_coeffs(grid, rng, channels=grid.d, decay=decay, zero_mean=True))
+def random_divergence_free(grid: Grid, rng: np.random.Generator, norm: float) -> GridField:
+    """Leray-projected random band-limited field, envelope exp(-|k|/2), of L2 norm `norm`."""
+    u = idft(random_hermitian_coeffs(grid, rng, channels=grid.d,
+                                     decay=lambda kk: np.exp(-0.5 * kk), zero_mean=True))
     u = leray_project(u)
     nrm = l2_norm(u)
     if nrm == 0.0:

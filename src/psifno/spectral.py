@@ -223,30 +223,27 @@ def dft(f: GridField) -> SpectralCoeffs:
     return SpectralCoeffs(f.grid, c, real_field=True)
 
 
-def idft(c: SpectralCoeffs, require_real: bool = True) -> GridField:
+def idft(c: SpectralCoeffs) -> GridField:
     """Inverse transform f_j = sum_k c_k exp(i<x_j,k>); returns the real part.
 
-    Raises HermitianViolation when a real field is requested but the
-    coefficients fail conjugate symmetry beyond tolerance, or the inverse
-    transform leaves an imaginary residue beyond IMAG_RESIDUE_RTOL.
+    Raises HermitianViolation when the coefficients fail conjugate symmetry
+    beyond tolerance, or the inverse transform leaves an imaginary residue
+    beyond IMAG_RESIDUE_RTOL.
     """
     g = c.grid
-    if require_real:
-        defect = hermitian_defect(c.coeffs, g.d)
-        scale = np.max(np.abs(c.coeffs)) or 1.0
-        if defect > 1e-9 * scale:
-            raise HermitianViolation(
-                f"cannot produce a real field: symmetry defect {defect:.3e} "
-                f"(scale {scale:.3e})"
-            )
+    defect = hermitian_defect(c.coeffs, g.d)
+    scale = np.max(np.abs(c.coeffs)) or 1.0
+    if defect > 1e-9 * scale:
+        raise HermitianViolation(
+            f"cannot produce a real field: symmetry defect {defect:.3e} (scale {scale:.3e})"
+        )
     v = _ifft_values(c.coeffs, g.d)
-    if require_real:
-        imag = np.max(np.abs(v.imag))
-        scale = np.max(np.abs(v.real)) or 1.0
-        if imag > IMAG_RESIDUE_RTOL * scale + 1e-14:
-            raise HermitianViolation(
-                f"imaginary residue {imag:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} relative"
-            )
+    imag = np.max(np.abs(v.imag))
+    scale = np.max(np.abs(v.real)) or 1.0
+    if imag > IMAG_RESIDUE_RTOL * scale + 1e-14:
+        raise HermitianViolation(
+            f"imaginary residue {imag:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} relative"
+        )
     return GridField(g, v.real)
 
 
@@ -574,11 +571,6 @@ def evaluate(f: GridField, points: np.ndarray) -> np.ndarray:
     return np.real(phases @ flat)
 
 
-def l2_sup_bound(grid: Grid, l2: float) -> float:
-    """Sup-norm envelope sqrt(|K_N|)/(2pi)^{d/2} * ||f||_{L^2} for band-limited f."""
-    return float(np.sqrt(grid.size) / (2.0 * np.pi) ** (grid.d / 2.0) * l2)
-
-
 def constant_field(grid: Grid, values) -> GridField:
     """Field with constant per-channel values (scalar or length-c vector)."""
     vec = np.atleast_1d(np.asarray(values, dtype=float))
@@ -624,8 +616,7 @@ def random_field(
     grid: Grid,
     rng: np.random.Generator,
     channels: int = 1,
-    decay=None,
     zero_mean: bool = False,
 ) -> GridField:
-    """Random real band-limited field, optionally with a spectral envelope."""
-    return idft(random_hermitian_coeffs(grid, rng, channels, decay, zero_mean))
+    """Random real band-limited field with a flat spectrum."""
+    return idft(random_hermitian_coeffs(grid, rng, channels, zero_mean=zero_mean))

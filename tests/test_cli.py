@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psifno.cli import main
 from psifno.errors import DegenerateFit
@@ -240,13 +246,13 @@ class TestEmulatorSubcommands:
 
 
 class TestExitCodes:
-    def test_non_numeric_config_value_is_internal_error(self, tmp_path, capsys):
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "darcy-converge",
                            {"lambda": 0.5, "k": 1, "N_list": "ab"})
         code = main(["darcy-converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("psifno: internal error: ValueError")
+        assert len(err) == 1 and err[0].startswith("psifno: error: config key 'N_list'")
 
     def test_runner_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
         import psifno.cli
@@ -260,3 +266,46 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == "psifno: internal error: RuntimeError: runner broke\n"
         assert not (tmp_path / "out").exists()
+
+
+# one small config per experiment; each valid one runs in well under a second
+SMALL_CONFIGS = {
+    "darcy-converge": {"lambda": 0.5, "k": 1, "N_list": [4, 8]},
+    "ns-converge": {"d": 2, "N": 8, "nu": 0.05, "T": 0.08, "U": 4.5, "tau_list": [0.04, 0.02],
+                    "scheme": "first", "init": {"kind": "taylor-green"}, "enforce_cfl": False},
+    "darcy-emulate": {"lambda": 0.5, "k": 1, "N_list": [4], "eps": 2e-3, "probes": 3},
+    "ns-emulate": {"N": 4, "nu": 0.05, "n_T": 2, "U": 0.5, "eps_total": 2e-3, "probes": 2},
+    "ft-emulate": {"cases": [{"d": 1, "N": 2}], "eps": 1e-3, "B": 1.0},
+    "deeponet-export": {"d": 1, "N": 2, "probes": 5},
+}
+OTHER_TYPES = ["ab", None, True, 1.5, [], {}, ["x"], {"kind": "x"}, [[4]]]
+
+
+@st.composite
+def malformed_configs(draw):
+    """A small config with one key dropped or one value replaced by another type,
+    either in the document or in its params block."""
+    kind = draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    doc = {"schema": "psifno-experiment/1", "kind": kind, "seed": 0,
+           "params": json.loads(json.dumps(SMALL_CONFIGS[kind]))}
+    target = doc["params"] if draw(st.booleans()) else doc
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(st.sampled_from(OTHER_TYPES))
+    return kind, doc
+
+
+class TestMalformedConfigs:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(malformed_configs())
+    def test_never_an_internal_error(self, case):
+        kind, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([kind, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code != 3, err.getvalue()

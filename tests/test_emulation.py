@@ -4,9 +4,12 @@ import pytest
 from psifno import darcy as dm
 from psifno import navier_stokes as ns
 from psifno.emulation import (
+    H0,
     H_MIN,
     AffineApproxSpec,
     _calibrate,
+    _calibrate_steps,
+    _probe_error,
     ProductNetSpec,
     build_affine_approx,
     build_darcy_emulator,
@@ -33,6 +36,7 @@ from psifno.spectral import (
     l2_norm,
     random_hermitian_coeffs,
     resample,
+    sobolev_norm,
 )
 
 from helpers import reference_forward, rel_err
@@ -61,6 +65,71 @@ class TestCalibrate:
             _calibrate(lambda h: tried.append(h) or h, lambda net: 1.0, 0.5, 1.0)
         assert tried == [2.0**-j for j in range(41)]
         assert tried[-1] == H_MIN
+
+
+class TestCalibrateSteps:
+    @staticmethod
+    def run(budget, sup_carry, sup_prod, accept_at=None):
+        """(net, steps tried); build numbers its attempts and attempt accept_at passes."""
+        tried = []
+
+        def build(h, h_c):
+            tried.append((h, h_c))
+            return len(tried)
+
+        net = _calibrate_steps(build, budget, sup_carry, sup_prod,
+                               lambda n: 0.0 if n == accept_at else 1.0, 0.5)
+        return net, tried
+
+    @pytest.mark.parametrize("sup_carry, sup_prod", [(2.0, 5.0), (40.0, 1.5), (0.1, 0.1)])
+    def test_steps_start_from_budget_and_halve_together(self, sup_carry, sup_prod):
+        budget = 1e-6
+        net, tried = self.run(budget, sup_carry, sup_prod, accept_at=5)
+        assert net == 5 and len(tried) == 5
+        h, h_c = tried[0]
+        assert h == min(H0, float(np.sqrt(budget / (0.9 * max(sup_prod, 1.0) ** 4))))
+        assert h_c == min(H0, float(np.sqrt(3.0 * budget / max(sup_carry, 1.0) ** 3)))
+        for j, (hj, hcj) in enumerate(tried):
+            assert hj == h * 2.0**-j and hcj == h_c * 2.0**-j
+            assert hj / hcj == h / h_c
+
+    def test_large_budget_starts_both_steps_at_h0(self):
+        _, tried = self.run(1e6, 1.0, 1.0, accept_at=1)
+        assert tried == [(H0, H0)]
+
+    @pytest.mark.parametrize("sup_carry, sup_prod", [(2.0, 5.0), (40.0, 1.5)])
+    def test_fails_once_smaller_step_drops_below_h_min(self, sup_carry, sup_prod):
+        tried = []
+
+        def build(h, h_c):
+            tried.append((h, h_c))
+
+        with pytest.raises(CalibrationFailed):
+            _calibrate_steps(build, 1e-6, sup_carry, sup_prod, lambda net: 1.0, 0.5)
+        assert all(min(t) >= H_MIN for t in tried)
+        assert 0.5 * min(tried[-1]) < H_MIN
+
+
+class TestProbeError:
+    def test_worst_probe_under_each_norm(self):
+        g = Grid(2, 3)
+        rng = np.random.default_rng(60)
+        identity = PsiFno(g, np.eye(1), (), np.eye(1))
+        inputs = [unit_ball_field(g, rng, norm=s) for s in (0.5, 2.0, 1.0)]
+        wants = [unit_ball_field(g, rng, norm=0.1) for _ in inputs]
+        diffs = [GridField(g, x.values - w.values) for x, w in zip(inputs, wants)]
+        for norm in (lambda e: float(np.max(np.abs(e.values))), l2_norm,
+                     lambda e: sobolev_norm(e, 1.0)):
+            per_probe = [norm(e) for e in diffs]
+            assert _probe_error(inputs, wants, norm)(identity) == max(per_probe)
+        assert _probe_error(inputs, wants)(identity) == max(l2_norm(e) for e in diffs)
+
+    def test_exact_net_has_zero_error(self):
+        g = Grid(1, 4)
+        rng = np.random.default_rng(61)
+        identity = PsiFno(g, np.eye(2), (), np.eye(2))
+        inputs = [unit_ball_field(g, rng, channels=2) for _ in range(3)]
+        assert _probe_error(inputs, inputs)(identity) == 0.0
 
 
 class TestProductNet:
