@@ -21,14 +21,21 @@ outputs for real inputs are guaranteed by the conjugacy condition
 P(-k) = conj(P(k)), checked entrywise at construction, at load, and once
 per layer when the forward compiles it.
 
-The forward runs each layer as a step compiled on first use at a grid and
-cached on the layer: the input is contracted pointwise onto the few
-vectors the multiplier reads (F(v) A^T = F(v A^T)), those are sent through
-the real half-spectrum transforms, multiplied by mode arrays summed once
-per (vector, output row) pair, and only the live rows come back to grid
-space.  The half spectrum stands for its conjugate-symmetric extension,
-which is why conjugacy must hold.  SpectralCoeffs and
-FourierMultiplier.apply keep working on the full centered spectrum.
+fno_forward runs a plan compiled once per network and cached on it.  Each
+activated layer is one step, and each maximal run of activation-free
+layers is fused into one step, since affine maps with multipliers compose
+mode by mode (the I_N between them is a no-op on grid data).  Working back
+from Q, every step computes only the channels the next step reads, and
+the lifting only those the first step reads.  Within a step the input is
+contracted pointwise onto the few vectors the multiplier reads
+(F(v) A^T = F(v A^T)), those are sent through the real half-spectrum
+transforms, multiplied by mode arrays summed once per (vector, output
+row) pair, and only the live rows come back to grid space.  The half
+spectrum stands for its conjugate-symmetric extension, which is why every
+layer's conjugacy is checked when the plan compiles.  layer_forward is
+the one-layer step with every channel, cached on the layer.
+SpectralCoeffs and FourierMultiplier.apply keep working on the full
+centered spectrum.
 """
 
 from __future__ import annotations
@@ -247,34 +254,83 @@ class FnoLayer:
         return FnoLayer(d_v, w, b, m, self.apply_activation)
 
 
-def _live(mask: np.ndarray):
-    """Indices where mask holds, or a full slice when it holds everywhere."""
-    idx = np.flatnonzero(mask)
-    return slice(None) if idx.size == mask.size else idx
+def _layer_affine(layer: FnoLayer, grid: Grid) -> tuple:
+    """(W, bias, terms) of a layer's pre-activation map on grid, checked.
+
+    W is None when zero, bias None, a (d_v,) vector or grid values, and
+    terms pairs each multiplier term's mode array, moved into the half
+    layout of grid, with its nonzero matrix.  Dimensions and conjugacy
+    are checked here, since the real transforms are exact only when P
+    is conjugate-symmetric.
+    """
+    bias = layer.bias
+    if isinstance(bias, GridField):
+        if bias.grid != grid:
+            raise DimensionMismatch("bias field lives on a different grid")
+        bias = bias.values
+    weight = layer.weight if layer.weight is not None and np.any(layer.weight) else None
+    mult = layer.multiplier
+    if mult is None:
+        return weight, bias, []
+    if mult.d != grid.d:
+        raise DimensionMismatch(f"multiplier dimension {mult.d}, grid {grid.d}")
+    if mult.mode_radius > grid.N:
+        raise DimensionMismatch(f"multiplier radius {mult.mode_radius} exceeds resolution {grid.N}")
+    mult._check_conjugacy()
+    return weight, bias, [(_half_layout(s, grid.d, grid.N), A) for s, A in mult.terms if np.any(A)]
+
+
+def _then(a: tuple, b: tuple) -> tuple:
+    """The affine map b(a(v)) of two (W, bias, terms) maps on one grid.
+
+    Multipliers compose mode by mode: W = W_b W_a,
+    P = W_b P_a + P_b W_a + P_b P_a, bias = W_b b_a + b_b + F^-1(P_b F b_a).
+    """
+    Wa, ba, Ta = a
+    Wb, bb, Tb = b
+    W = Wb @ Wa if Wa is not None and Wb is not None else None
+    terms = [(s, Wb @ A) for s, A in Ta] if Wb is not None else []
+    terms += [(r, B @ Wa) for r, B in Tb] if Wa is not None else []
+    terms += [(r * s, B @ A) for r, B in Tb for s, A in Ta]
+    bias = bb
+    if ba is not None:
+        parts = [ba @ Wb.T] if Wb is not None else []
+        if Tb and ba.ndim == 1:  # a constant sees only the k = 0 mode
+            parts.append(sum(r[(0,) * r.ndim] * (B @ ba) for r, B in Tb).real)
+        elif Tb:
+            conv, out = _Convolution(Tb, ba.shape[-1]), np.zeros_like(ba)
+            conv(ba, out)
+            parts.append(out)
+        for part in parts:
+            bias = part if bias is None else bias + part
+    return W, bias, [(s, A) for s, A in terms if np.any(A)]
+
+
+def _reads(affine: tuple, rows: np.ndarray, d_v: int) -> np.ndarray:
+    """Input channels that output rows of an affine map read."""
+    W, _, terms = affine
+    used = np.zeros(d_v, dtype=bool)
+    for A in ([W] if W is not None else []) + [A for _, A in terms]:
+        used |= np.any(A[rows] != 0, axis=0)
+    return np.flatnonzero(used)
 
 
 class _Convolution:
     """x -> F^-1(P F x) on the live output rows, through real half-spectrum transforms.
 
-    The input is first contracted pointwise, z = x M^T (F(x) A^T = F(x A^T)).
-    For real A_t the rows of M are the distinct nonzero rows of the A_t and
-    the mode array of pair (r, j) sums the s_t of every term whose row r is
-    M[j]; otherwise, or when that gives more vectors than there are live
-    input channels, M selects the live channels and the pair's mode array
-    is the per-mode matrix entry P(k)[r, c].  Pair p adds
-    modes[..., p] * F(z)[..., pick[p]] to its row; pairs are sorted by row
-    and starts marks each row's first pair.
+    P is given as terms (s_t, A_t): half-layout mode arrays and (rows,
+    n_in) matrices.  The input is first contracted pointwise,
+    z = x M^T (F(x) A^T = F(x A^T)).  For real A_t the rows of M are the
+    distinct nonzero rows of the A_t and the mode array of pair (r, j)
+    sums the s_t of every term whose row r is M[j]; otherwise, or when
+    that gives more vectors than there are live input channels, M selects
+    the live channels and the pair's mode array is the per-mode matrix
+    entry P(k)[r, c].  Pair p adds modes[..., p] * F(z)[..., pick[p]] to
+    its row; pairs are sorted by row and starts marks each row's first pair.
     """
 
-    def __init__(self, mult: FourierMultiplier, grid: Grid):
-        if mult.d != grid.d:
-            raise DimensionMismatch(f"multiplier dimension {mult.d}, grid {grid.d}")
-        if mult.mode_radius > grid.N:
-            raise DimensionMismatch(
-                f"multiplier radius {mult.mode_radius} exceeds resolution {grid.N}")
-        mult._check_conjugacy()
-        terms = [(s, A) for s, A in mult.terms if np.any(A != 0)]
-        used = np.zeros((mult.d_v, mult.d_v), dtype=bool)
+    def __init__(self, terms, n_in: int):
+        used = np.zeros(terms[0][1].shape if terms else (0, n_in), dtype=bool)
         for _, A in terms:
             used |= A != 0
         cols = np.flatnonzero(used.any(axis=0))
@@ -283,16 +339,16 @@ class _Convolution:
         if real:
             for s, A in terms:
                 for r in np.flatnonzero(np.any(A.real != 0, axis=1)):
-                    j = vectors.setdefault(A.real[r].tobytes(), len(vectors))
+                    j = vectors.setdefault((A.real[r] + 0.0).tobytes(), len(vectors))
                     pairs[r, j] = pairs[r, j] + s if (r, j) in pairs else s
-            M = np.array([np.frombuffer(v) for v in vectors]).reshape(-1, mult.d_v)
+            M = np.array([np.frombuffer(v) for v in vectors]).reshape(-1, n_in)
         if not real or len(vectors) > cols.size:
             pairs = {}
             for s, A in terms:
                 for r, j in zip(*np.nonzero(A[:, cols])):
                     term = s * A[r, cols[j]]
                     pairs[r, j] = pairs[r, j] + term if (r, j) in pairs else term
-            M = np.eye(mult.d_v)[cols]
+            M = np.eye(n_in)[cols]
         keys = sorted(pairs)
         self.size = len(keys)
         if not keys:
@@ -302,7 +358,7 @@ class _Convolution:
         self.starts = np.searchsorted(row_of, self.rows)
         self.pick = np.array([j for _, j in keys])
         self.M = M
-        self.modes = _half_layout(np.stack([pairs[k] for k in keys], axis=-1), grid.d, grid.N)
+        self.modes = np.stack([pairs[k] for k in keys], axis=-1)
 
     def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
         """out[..., rows] += F^-1(P F x) for grid values x."""
@@ -314,60 +370,52 @@ class _Convolution:
         out[..., self.rows] += _irfft_values(prod, d)
 
 
-class _LayerStep:
-    """An FnoLayer compiled for one grid: W v + b + F^-1(P F v), pre-activation.
+class _Step:
+    """An affine map compiled for the output rows a later stage reads:
+    [sigma](W v + b + F^-1(P F v)) from channels cols to channels rows.
 
-    The weight keeps only its nonzero rows and columns, the convolution
-    only its live rows (see _Convolution).  Conjugacy of P is checked when
-    the step compiles, since the real transforms are exact only when it
-    holds.
+    Input and output hold only those channels, in that order; the weight,
+    the bias and the multiplier matrices keep only the rows and columns
+    between them, and the convolution only its live rows (see _Convolution).
     """
 
-    def __init__(self, layer: "FnoLayer", grid: Grid):
-        if isinstance(layer.bias, GridField) and layer.bias.grid != grid:
-            raise DimensionMismatch("bias field lives on a different grid")
-        self.bias = layer.bias.values if isinstance(layer.bias, GridField) else layer.bias
-        self.weight = None
-        if layer.weight is not None and np.any(layer.weight != 0):
-            nz = layer.weight != 0
-            rows, cols = _live(nz.any(axis=1)), _live(nz.any(axis=0))
-            self.weight = (rows, cols, layer.weight[rows][:, cols].T)
-        self.conv = None
-        if layer.multiplier is not None:
-            conv = _Convolution(layer.multiplier, grid)
-            self.conv = conv if conv.size else None
+    def __init__(self, affine: tuple, rows: np.ndarray, cols: np.ndarray, activated: bool):
+        W, bias, terms = affine
+        self.cols, self.width, self.activated = cols, rows.size, activated
+        block = np.ix_(rows, cols)
+        self.weight = W[block].T if W is not None and np.any(W[block]) else None
+        self.bias = None
+        if bias is not None and np.any(bias[..., rows]):
+            self.bias = np.ascontiguousarray(bias[..., rows])
+        conv = _Convolution([(s, A[block]) for s, A in terms if np.any(A[block])], cols.size)
+        self.conv = conv if conv.size else None
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
+    def __call__(self, v: np.ndarray, act: Activation) -> np.ndarray:
         if self.weight is None:
-            pre = np.zeros_like(v)
+            pre = np.zeros(v.shape[:-1] + (self.width,))
         else:
-            rows, cols, wt = self.weight
-            if isinstance(rows, slice):
-                pre = v[..., cols] @ wt
-            else:
-                pre = np.zeros_like(v)
-                pre[..., rows] = v[..., cols] @ wt
+            pre = v @ self.weight
         if self.conv is not None:
             self.conv(v, pre)
         if self.bias is not None:
             pre += self.bias
-        return pre
+        return act(pre) if self.activated else pre
 
 
 def layer_forward(layer: FnoLayer, v: GridField, act: Activation) -> GridField:
     """Evaluate one layer on grid values (exact; FFT-based convolution).
 
-    The layer is compiled for v's grid on first use and the step is cached
-    on the layer, so repeated layers and repeated calls share it.
+    This is the one-layer step of the forward plan with every channel in
+    and out, compiled for v's grid on first use and cached on the layer.
     """
     if v.channels != layer.d_v:
         raise DimensionMismatch(f"layer expects {layer.d_v} channels, got {v.channels}")
     step = layer._steps.get(v.grid)
     if step is None:
-        step = layer._steps[v.grid] = _LayerStep(layer, v.grid)
-    pre = step(v.values)
-    out = act(pre) if layer.apply_activation else pre
-    return GridField(v.grid, out)
+        every = np.arange(layer.d_v)
+        step = layer._steps[v.grid] = _Step(_layer_affine(layer, v.grid), every, every,
+                                            layer.apply_activation)
+    return GridField(v.grid, step(v.values, act))
 
 
 @dataclass(frozen=True)
@@ -380,6 +428,7 @@ class PsiFno:
     projection: np.ndarray   # (d_u, d_v)
     activation: str = "tanh"
     meta: dict = field(default_factory=dict)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = np.asarray(self.lifting, dtype=float)
@@ -414,19 +463,67 @@ class PsiFno:
         return len(self.layers)
 
 
+class _Plan:
+    """A PsiFno compiled for its grid: one _Step per activated layer and one per
+    maximal run of activation-free layers, fused with _then.
+
+    Working back from the projection, each step keeps only the rows the
+    next step (or Q) reads, and the lifting only the channels the first
+    step reads.  Steps are shared between repeated runs of the same layer
+    objects, and each distinct layer is checked once.
+    """
+
+    def __init__(self, net: "PsiFno"):
+        runs = []
+        for layer in net.layers:
+            if runs and not layer.apply_activation and not runs[-1][-1].apply_activation:
+                runs[-1].append(layer)
+            else:
+                runs.append([layer])
+        affines, steps = {}, {}
+        rows = np.flatnonzero(np.any(net.projection != 0, axis=0))
+        self.projection = net.projection[:, rows]
+        self.steps = []  # last step first until the loop ends
+        for run in reversed(runs):
+            ids = tuple(map(id, run))
+            step = steps.get((ids, rows.tobytes()))
+            if step is None:
+                for layer in run:
+                    if id(layer) not in affines:
+                        affines[id(layer)] = _layer_affine(layer, net.grid)
+                affine = affines[ids[0]]
+                for i in ids[1:]:
+                    affine = _then(affine, affines[i])
+                step = _Step(affine, rows, _reads(affine, rows, net.d_v), run[0].apply_activation)
+                steps[ids, rows.tobytes()] = step
+            self.steps.append(step)
+            rows = step.cols
+        self.steps.reverse()
+        self.lifting = net.lifting[rows]
+
+    def __call__(self, a: GridField, act: Activation) -> GridField:
+        v = GridField(a.grid, a.values @ self.lifting.T)
+        for step in self.steps:
+            v = GridField(a.grid, step(v.values, act))
+        return GridField(a.grid, v.values @ self.projection.T)
+
+
 def fno_forward(net: PsiFno, a: GridField) -> GridField:
-    """Apply the network; inputs at other resolutions are resampled first."""
+    """Apply the network; inputs at other resolutions are resampled first.
+
+    The network is compiled into a _Plan on first use and the plan is
+    cached on it.
+    """
     if a.grid.d != net.grid.d:
         raise DimensionMismatch(f"input dimension {a.grid.d}, network {net.grid.d}")
     if a.channels != net.d_a:
         raise DimensionMismatch(f"input has {a.channels} channels, network expects {net.d_a}")
     if a.grid.N != net.grid.N:
         a = resample(a, net.grid.N)
-    act = activation(net.activation)
-    v = GridField(net.grid, a.values @ net.lifting.T)
-    for layer in net.layers:
-        v = layer_forward(layer, v, act)
-    return GridField(net.grid, v.values @ net.projection.T)
+    plan = net._plans.get(net.grid)
+    if plan is None:
+        plan = net._plans[net.grid] = _Plan(net)
+    return plan(a, activation(net.activation))
 
 
 def compose(outer: PsiFno, inner: PsiFno) -> PsiFno:
@@ -515,6 +612,7 @@ def size_report(net: PsiFno) -> SizeReport:
 # Model file: MAGIC + u64 header length + JSON header + raw payload.
 # Payload order: lifting, projection, then per layer: weight?, bias?,
 # then per multiplier term: modes (c16), matrix (c16).  Little-endian, C order.
+# A layer that is an earlier one is written as {"same_as": i} with no payload.
 # ---------------------------------------------------------------------------
 
 
@@ -528,8 +626,12 @@ def save_model(net: PsiFno, path) -> None:
 
     put(net.lifting, "<f8")
     put(net.projection, "<f8")
-    layer_desc = []
-    for layer in net.layers:
+    layer_desc, first = [], {}
+    for i, layer in enumerate(net.layers):
+        if id(layer) in first:
+            layer_desc.append({"same_as": first[id(layer)]})
+            continue
+        first[id(layer)] = i
         desc = {
             "apply_activation": layer.apply_activation,
             "has_weight": layer.weight is not None,
@@ -581,12 +683,13 @@ def _header_int(obj: dict, key: str, minimum: int) -> int:
 
 
 def load_model(path) -> PsiFno:
-    """Read a PSIFNO1 file written by save_model.
+    """Read a PSIFNO1 file written by save_model; repeated layers come back shared.
 
     Raises BadParameters on a foreign file, a header that is cut short, not
     JSON or missing fields, a payload whose length differs from what the
-    header describes, non-finite values, or a multiplier that breaks
-    conjugacy, so a bad file fails here rather than mid-forward.
+    header describes, non-finite values, a multiplier that breaks
+    conjugacy, or a same_as that names no earlier layer, so a bad file
+    fails here rather than mid-forward.
     """
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
@@ -635,6 +738,12 @@ def _model_from_header(header: dict, buf: memoryview, off: int) -> PsiFno:
     Q = take((d_u, d_v), "<f8")
     layers = []
     for i, desc in enumerate(descs):
+        if "same_as" in desc:
+            j = desc["same_as"]
+            if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < i:
+                raise BadParameters(f"layer {i}: same_as must name an earlier layer, got {j!r}")
+            layers.append(layers[j])
+            continue
         w = take((d_v, d_v), "<f8") if desc["has_weight"] else None
         kind = desc["bias"]
         if kind not in ("none", "field", "const"):

@@ -97,6 +97,13 @@ def _param(params: dict, key: str, kind, default=_REQUIRED):
         raise ConfigInvalid(f"config key {key!r}: {exc}") from None
 
 
+def _integer(value) -> int:
+    """int(value), rejecting a number with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _typed(t):
     """A kind that accepts values of type t unchanged and rejects the rest."""
     def check(value):
@@ -246,8 +253,8 @@ def _darcy_coefficient(spec: dict, resolution: int, lam: float, rng):
 
 def run_darcy_converge(params: dict, seed: int, jobs: int = 1):
     lam = _param(params, "lambda", float)
-    k = _param(params, "k", int)
-    N_list = _param(params, "N_list", _list_of(int))
+    k = _param(params, "k", _integer)
+    N_list = _param(params, "N_list", _list_of(_integer))
     rng = np.random.default_rng(seed)
     source = _param(_param(params, "source", _typed(dict), {}), "kind", _typed(str), "manufactured")
 
@@ -291,9 +298,9 @@ def run_darcy_converge(params: dict, seed: int, jobs: int = 1):
 
 
 def run_ns_converge(params: dict, seed: int, jobs: int = 1):
-    if _param(params, "d", int) != 2:
+    if _param(params, "d", _integer) != 2:
         raise ConfigInvalid("convergence studies use the analytic 2-d vortex oracle")
-    N = _param(params, "N", int)
+    N = _param(params, "N", _integer)
     nu, T, U = (_param(params, key, float) for key in ("nu", "T", "U"))
     scheme = _param(params, "scheme", _typed(str))
     if scheme not in ("first", "second"):
@@ -304,7 +311,7 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
         raise ConfigInvalid("the convergence oracle requires taylor-green initial data")
     amplitude = _param(init, "amplitude", float, 1.0)
     enforce_cfl = _param(params, "enforce_cfl", _typed(bool), False)
-    checkpoint_every = _param(params, "checkpoint_every", int, None)
+    checkpoint_every = _param(params, "checkpoint_every", _integer, None)
     checkpoint_dir = _param(params, "checkpoint_dir", _typed(str), None)
 
     def one(row):
@@ -347,10 +354,10 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
 def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
     from .emulation import build_darcy_emulator
 
-    lam, k = _param(params, "lambda", float), _param(params, "k", int)
+    lam, k = _param(params, "lambda", float), _param(params, "k", _integer)
     eps = _param(params, "eps", float)
-    N_list = _param(params, "N_list", _list_of(int))
-    n_probes = _param(params, "probes", int)
+    N_list = _param(params, "N_list", _list_of(_integer))
+    n_probes = _param(params, "probes", _integer)
     rows, nets = [], {}
     for N in N_list:
         f = field_from_function(Grid(2, 2 * N), lambda x, y: np.cos(x) + np.sin(2 * y))
@@ -390,7 +397,7 @@ def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
 def run_ns_emulate(params: dict, seed: int, jobs: int = 1):
     from .emulation import build_ns_emulator
 
-    N, n_T, n_probes = (_param(params, key, int) for key in ("N", "n_T", "probes"))
+    N, n_T, n_probes = (_param(params, key, _integer) for key in ("N", "n_T", "probes"))
     nu, U, eps_total = (_param(params, key, float) for key in ("nu", "U", "eps_total"))
     tau = _param(params, "tau", float, 0.9 * ns.max_cfl_timestep(U, N, 2))
     rng = np.random.default_rng(seed)
@@ -434,7 +441,7 @@ def run_ft_emulate(params: dict, seed: int, jobs: int = 1):
     from .emulation import build_ft_emulator, build_ift_emulator
 
     eps, B = _param(params, "eps", float), _param(params, "B", float)
-    cases = [(_param(case, "d", int), _param(case, "N", int))
+    cases = [(_param(case, "d", _integer), _param(case, "N", _integer))
              for case in _param(params, "cases", _list_of(_typed(dict)))]
     rng = np.random.default_rng(seed)
     rows = []
@@ -474,8 +481,8 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
     from .fno import FnoLayer, FourierMultiplier, PsiFno
     from .spectral import evaluate
 
-    d, N, n_probes = (_param(params, key, int) for key in ("d", "N", "probes"))
-    d_v, depth = _param(params, "d_v", int, 3), _param(params, "depth", int, 2)
+    d, N, n_probes = (_param(params, key, _integer) for key in ("d", "N", "probes"))
+    d_v, depth = _param(params, "d_v", _integer, 3), _param(params, "depth", _integer, 2)
     B = _param(params, "B", float, 1.0)
     out_model = _param(params, "out_model", _typed(str), None)
     rng = np.random.default_rng(seed)

@@ -407,21 +407,14 @@ def project(c: SpectralCoeffs, M: int, zero_mean: bool = False) -> SpectralCoeff
     return SpectralCoeffs(c.grid, c.coeffs * mask[..., None], real_field=c.real_field)
 
 
-def _pad_or_fold(coeffs: np.ndarray, d: int, N_from: int, N_to: int) -> np.ndarray:
-    """Change mode radius of a centered coefficient array.
+def _fold(coeffs: np.ndarray, d: int, N_from: int, N_to: int) -> np.ndarray:
+    """Centered coefficients at radius N_from folded down to radius N_to < N_from.
 
-    Upsampling zero-pads (exact).  Downsampling folds each mode onto its
-    representative modulo 2*N_to+1, which reproduces pointwise sampling of
-    the trigonometric interpolant on the coarser grid (aliasing included).
+    Each mode lands on its representative modulo 2*N_to+1, which reproduces
+    pointwise sampling of the trigonometric interpolant on the coarser grid
+    (aliasing included).
     """
-    if N_to == N_from:
-        return coeffs.copy()
     n_to = 2 * N_to + 1
-    if N_to > N_from:
-        out = np.zeros((n_to,) * d + coeffs.shape[d:], dtype=coeffs.dtype)
-        sl = tuple(slice(N_to - N_from, N_to + N_from + 1) for _ in range(d))
-        out[sl] = coeffs
-        return out
     out = coeffs
     k_vals = np.arange(-N_from, N_from + 1)
     target = (k_vals + N_to) % n_to
@@ -444,8 +437,10 @@ def resample(f: GridField, M: int) -> GridField:
     g = f.grid
     if M == g.N:
         return GridField(g, f.values.copy())
+    if M > g.N:
+        return GridField(Grid(g.d, M), _on_grid(_rfft_half(f.values, g.d), g.d, M, g.npoints))
     c = dft(f)
-    out = _pad_or_fold(c.coeffs, g.d, g.N, M)
+    out = _fold(c.coeffs, g.d, g.N, M)
     return idft(SpectralCoeffs(Grid(g.d, M), out, real_field=True))
 
 
@@ -491,7 +486,7 @@ def dealiased_product(u: GridField, v: GridField) -> GridField:
     vv = resample(v, 2 * g.N)
     w = GridField(uu.grid, uu.values * vv.values)
     c = dft(w)
-    out = _pad_or_fold(project(c, g.N).coeffs, g.d, 2 * g.N, g.N)
+    out = _fold(project(c, g.N).coeffs, g.d, 2 * g.N, g.N)
     return idft(SpectralCoeffs(g, out, real_field=True))
 
 

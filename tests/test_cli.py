@@ -297,7 +297,37 @@ def malformed_configs(draw):
     return kind, doc
 
 
+def integer_paths(value, path=()):
+    """Key/index paths to every integer (bools excluded) inside a config value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        yield path
+    elif isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, inner in items:
+            yield from integer_paths(inner, path + (key,))
+
+
+INTEGER_CASES = [(kind, path) for kind in sorted(SMALL_CONFIGS)
+                 for path in integer_paths(SMALL_CONFIGS[kind])]
+
+
 class TestMalformedConfigs:
+    @pytest.mark.parametrize("kind,path", INTEGER_CASES, ids=[
+        f"{kind}:{'.'.join(map(str, path))}" for kind, path in INTEGER_CASES])
+    def test_non_integral_number_is_config_error(self, tmp_path, kind, path):
+        params = json.loads(json.dumps(SMALL_CONFIGS[kind]))
+        target = params
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] += 0.5
+        cfg = write_config(tmp_path, kind, params)
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_integral_float_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "darcy-converge",
+                           {"lambda": 0.5, "k": 1.0, "N_list": [4.0, 8.0]})
+        assert main(["darcy-converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(malformed_configs())
     def test_never_an_internal_error(self, case):

@@ -153,6 +153,24 @@ class TestSerialization:
         assert again.meta == export.meta
         assert np.array_equal(again.sensor_points, export.sensor_points)
 
+    def test_round_trip_keeps_shared_layers(self, tmp_path):
+        from psifno.fno import load_model
+
+        g = Grid(2, 2)
+        rng = np.random.default_rng(8)
+        base = small_random_net(g, rng, d_v=3, depth=2)
+        net = PsiFno(g, base.lifting, base.layers * 2, base.projection)
+        export = to_deeponet(net, B=1.0, rng=rng)
+        save_deeponet(export, net, tmp_path / "model")
+        assert len({id(L) for L in load_model(tmp_path / "model.psifno").layers}) == 2
+        again = load_deeponet(tmp_path / "model")
+        for (M1, c1, act1), (M2, c2, act2) in zip(again.branch.layers, export.branch.layers,
+                                                  strict=True):
+            assert np.array_equal(M1, M2) and np.array_equal(c1, c2) and act1 == act2
+        a = random_field(g, rng)
+        pts = rng.uniform(0, 2 * np.pi, size=(7, 2))
+        assert np.array_equal(again.evaluate(a, pts), export.evaluate(a, pts))
+
     def test_descriptor_mismatch_rejected(self, tmp_path):
         import json
 

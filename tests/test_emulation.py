@@ -389,6 +389,37 @@ class TestDarcyEmulator:
         assert again.meta["K"] == net.meta["K"]
 
 
+class TestForwardPlanOnEmulators:
+    """Each block's activation-free layers (L3 of one block, L1 of the next) run as one step."""
+
+    @staticmethod
+    def transforms_per_forward(net, a, monkeypatch) -> int:
+        import psifno.fno
+
+        calls = []
+        real = psifno.fno._rfft_half
+        monkeypatch.setattr(psifno.fno, "_rfft_half", lambda *x: calls.append(1) or real(*x))
+        fno_forward(net, a)
+        return len(calls)
+
+    def test_darcy_one_transform_per_fused_run(self, darcy_emulator_small, tmp_path, monkeypatch):
+        from psifno.fno import load_model, save_model
+
+        net, f, N, lam, k = darcy_emulator_small
+        K = net.meta["K"]
+        a = dm.random_decay_coefficient(2, 2 * N, lam, np.random.default_rng(41))
+        assert self.transforms_per_forward(net, a, monkeypatch) == K + 1  # 2K layer by layer
+        steps = net._plans[net.grid].steps
+        # L1, L2, (L3, L1), and the last L2 and L3, which drop the atilde carry Q never reads
+        assert len(steps) == 2 * K + 1 and len({id(s) for s in steps}) == 5
+        assert max(s.width for s in steps if not s.activated) == 3  # of 6d + 2 = 14 channels
+        save_model(net, tmp_path / "emulator.psifno")
+        again = load_model(tmp_path / "emulator.psifno")
+        assert len({id(L) for L in again.layers}) == 3
+        assert np.array_equal(fno_forward(again, a).values, fno_forward(net, a).values)
+        assert len({id(s) for s in again._plans[again.grid].steps}) == 5
+
+
 @pytest.fixture(scope="module")
 def small():
     N, d, nu, U = 8, 2, 0.05, 0.5

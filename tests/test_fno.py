@@ -1,3 +1,4 @@
+import re
 import struct
 import subprocess
 import sys
@@ -386,6 +387,44 @@ class TestSerialization:
         with pytest.raises(BadParameters):
             load_model(path)
 
+    @staticmethod
+    def shared_net(rng) -> PsiFno:
+        g = Grid(2, 3)
+        A, B = random_layer(g, 3, rng, False), random_layer(g, 3, rng)
+        return PsiFno(g, rng.standard_normal((3, 2)), (A, B, A, A, B), np.ones((1, 3)))
+
+    def test_shared_layers_round_trip(self, tmp_path):
+        rng = np.random.default_rng(19)
+        net = self.shared_net(rng)
+        save_model(net, tmp_path / "shared.psifno")
+        again = load_model(tmp_path / "shared.psifno")
+        ids = [id(layer) for layer in again.layers]
+        assert [ids.index(i) for i in ids] == [0, 1, 0, 0, 1]
+        a = random_field(net.grid, rng, channels=2)
+        assert np.array_equal(fno_forward(again, a).values, fno_forward(net, a).values)
+        copies = PsiFno(net.grid, net.lifting, tuple(
+            FnoLayer(L.d_v, L.weight, L.bias, L.multiplier, L.apply_activation)
+            for L in net.layers), net.projection)
+        save_model(copies, tmp_path / "copies.psifno")
+        shared_bytes = (tmp_path / "shared.psifno").stat().st_size
+        assert shared_bytes < 0.5 * (tmp_path / "copies.psifno").stat().st_size
+        again = load_model(tmp_path / "copies.psifno")  # files without same_as load unshared
+        assert len({id(layer) for layer in again.layers}) == 5
+        assert np.array_equal(fno_forward(again, a).values, fno_forward(net, a).values)
+
+    # the first same_as sits at layer 2: itself, later layers, out of range, not an int
+    @pytest.mark.parametrize("ref", [b"2", b"4", b"9", b"-1", b"true", b"0.0", b'"0"', b"null"])
+    def test_bad_same_as_rejected(self, tmp_path, ref):
+        path = tmp_path / "shared.psifno"
+        save_model(self.shared_net(np.random.default_rng(20)), path)
+        raw = path.read_bytes()
+        edit = lambda h: h.replace(b'{"same_as": 0}', b'{"same_as": ' + ref + b'}', 1)
+        garbled = TestLoadHardening._rewrite(raw, edit)
+        assert garbled != raw
+        path.write_bytes(garbled)
+        with pytest.raises(BadParameters):
+            load_model(path)
+
 
 class TestLoadHardening:
     @pytest.fixture
@@ -570,9 +609,11 @@ class TestCompiledForward:
         layer = random_layer(g, 2, rng)
         net = PsiFno(g, np.ones((2, 1)), (layer,) * 5, np.ones((1, 2)))
         fno_forward(net, random_field(g, rng))
-        step = layer._steps[g]
+        plan = net._plans[g]
+        step = plan.steps[0]
         fno_forward(net, random_field(g, rng))
-        assert list(layer._steps) == [g] and layer._steps[g] is step
+        assert list(net._plans) == [g] and net._plans[g] is plan
+        assert len(plan.steps) == 5 and all(s is step for s in plan.steps)
 
     def test_radius_beyond_resolution_raises(self):
         rng = np.random.default_rng(51)
@@ -585,3 +626,136 @@ class TestCompiledForward:
         net = non_conjugate_net(g)
         with pytest.raises(BadParameters):
             fno_forward(net, random_field(g, np.random.default_rng(52)))
+
+
+def plan_layer(grid: Grid, d_v: int, rng, activated: bool, dead: int) -> FnoLayer:
+    """Random layer with a random mix of weight (present or absent), bias (none,
+    constant or field) and multiplier (absent, complex A_t, or real A_t with mode
+    arrays of radius 0..W inside W <= N); input channel dead is read by nothing."""
+    live = np.arange(d_v) != dead
+    w = rng.standard_normal((d_v, d_v)) * live / d_v if rng.random() < 0.6 else None
+    bias = [None, rng.standard_normal(d_v), random_field(grid, rng, channels=d_v)][rng.integers(3)]
+    W = int(rng.integers(grid.N + 1))
+    kind = rng.integers(4)
+    if kind == 1:
+        terms = complex_matrix_multiplier(grid.d, W, d_v, rng).terms
+    elif kind > 1:
+        terms = []
+        for _ in range(2):
+            s = hermitian_modes(grid.d, int(rng.integers(W + 1)), rng)
+            terms.append((np.pad(s, W - s.shape[0] // 2), rng.standard_normal((d_v, d_v)) / d_v))
+    mult = FourierMultiplier(grid.d, W, [(s, A * live) for s, A in terms], d_v) if kind else None
+    if mult is None and w is None:
+        w = rng.standard_normal((d_v, d_v)) * live / d_v
+    return FnoLayer(d_v, w, bias, mult, activated)
+
+
+def plan_net(grid: Grid, pattern: str, rng, d_v: int = 4) -> PsiFno:
+    """Net whose layers follow pattern: 's' an activated layer, 'f' an activation-free one."""
+    layers = tuple(plan_layer(grid, d_v, rng, c == "s", int(rng.integers(d_v))) for c in pattern)
+    Q = rng.standard_normal((2, d_v))
+    Q[:, rng.integers(d_v)] = 0.0
+    return PsiFno(grid, rng.standard_normal((d_v, 2)), layers, Q, "gelu")
+
+
+PATTERNS = ["ff", "fff", "sffs", "ffsfffs", "sfsff", "fsfffsf"]
+
+
+class TestForwardPlan:
+    """The network plan: activation-free runs fused into one step, only needed channels."""
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("d,N", [(1, 3), (2, 3), (3, 1)])
+    def test_matches_reference(self, d, N, pattern):
+        g = Grid(d, N)
+        for seed in range(4):
+            rng = np.random.default_rng([seed, d, N, len(pattern)])
+            net = plan_net(g, pattern, rng)
+            a = random_field(g, rng, channels=2)
+            want = reference_forward(net, a).values
+            assert rel_err(fno_forward(net, a).values, want) < 1e-12
+            plan = net._plans[g]
+            assert len(plan.steps) == len(re.findall("s|f+", pattern))
+
+    @pytest.mark.parametrize("d,N", [(1, 4), (2, 2)])
+    def test_compose_outputs(self, d, N):
+        g = Grid(d, N)
+        rng = np.random.default_rng(70 + d)
+        inner = plan_net(g, "sff", rng)
+        outer = PsiFno(g, rng.standard_normal((3, 2)),
+                       tuple(plan_layer(g, 3, rng, c == "s", 0) for c in "ffs"),
+                       rng.standard_normal((1, 3)), "gelu")
+        comp = compose(outer, inner)  # the run "ff" + "ff" meets across the bridge
+        assert len(comp._plans) == 0
+        a = random_field(g, rng, channels=2)
+        want = reference_forward(comp, a).values
+        assert rel_err(fno_forward(comp, a).values, want) < 1e-12
+        assert len(comp._plans[g].steps) == 3
+
+    def test_unread_channels_are_not_computed(self):
+        g = Grid(2, 3)
+        rng = np.random.default_rng(80)
+        d_v = 5
+        layers = [random_layer(g, d_v, rng, apply_activation=c == "s") for c in "sffs"]
+        # the σ-layer after the run reads channels 1 and 3 only, Q reads channel 2
+        w = layers[3].weight * np.isin(np.arange(d_v), [1, 3])
+        last = FnoLayer(d_v, w, layers[3].bias, None, True)
+        Q = np.zeros((1, d_v))
+        Q[0, 2] = 1.0
+        net = PsiFno(g, rng.standard_normal((d_v, 1)), (*layers[:3], last), Q)
+        a = random_field(g, rng)
+        assert rel_err(fno_forward(net, a).values, reference_forward(net, a).values) < 1e-12
+        first, run, sigma = net._plans[g].steps
+        assert (run.width, sigma.width) == (2, 1)
+        assert list(run.cols) == list(range(d_v)) and list(sigma.cols) == [1, 3]
+        assert net._plans[g].lifting.shape == (d_v, 1)
+
+    def test_repeated_runs_share_one_step_and_match_unshared_copies(self):
+        g = Grid(2, 3)
+        rng = np.random.default_rng(81)
+        A, B, S = (plan_layer(g, 3, rng, c == "s", 0) for c in "ffs")
+        shared = PsiFno(g, np.eye(3, 1), (A, B, S, A, B, S, A, B), np.eye(1, 3), "gelu")
+        copies = PsiFno(g, np.eye(3, 1),
+                        tuple(FnoLayer(L.d_v, L.weight, L.bias, L.multiplier, L.apply_activation)
+                              for L in shared.layers), np.eye(1, 3), "gelu")
+        a = random_field(g, rng)
+        assert np.array_equal(fno_forward(shared, a).values, fno_forward(copies, a).values)
+        steps = shared._plans[g].steps
+        assert len(steps) == 5 and steps[0] is steps[2] and steps[1] is steps[3]
+        assert len({id(s) for s in copies._plans[g].steps}) == 5
+
+    def test_darcy_like_fused_run_transforms_once(self, monkeypatch):
+        import psifno.fno
+
+        g = Grid(2, 4)
+        d_v = 4
+        L1 = FnoLayer(d_v, None, None, derivative_multiplier(g, d_v, 0, 1), False)
+        S = FnoLayer(d_v, np.eye(d_v), np.full(d_v, 0.1), None, True)
+        L3 = FnoLayer(d_v, None, random_field(g, np.random.default_rng(82), channels=d_v),
+                      derivative_multiplier(g, d_v, 1, 0), False)
+        net = PsiFno(g, np.eye(d_v, 1), (L1, S, L3) * 4, np.eye(1, d_v, 1))
+        calls = []
+        real = psifno.fno._rfft_half
+        monkeypatch.setattr(psifno.fno, "_rfft_half", lambda *x: calls.append(1) or real(*x))
+        a = random_field(g, np.random.default_rng(83))
+        assert rel_err(fno_forward(net, a).values, reference_forward(net, a).values) < 1e-12
+        calls.clear()
+        fno_forward(net, a)
+        assert len(calls) == 5  # L1, (L3, L1) x 3, L3 against 8 layer transforms
+
+    def test_every_fused_layer_is_checked(self):
+        g = Grid(2, 2)
+        bad = non_conjugate_net(g).layers[0]
+        good = FnoLayer(1, np.eye(1), None, None, False)
+        for layers in ((good, bad), (bad, good), (good, bad, good)):
+            with pytest.raises(BadParameters, match="conjugacy"):
+                fno_forward(PsiFno(g, np.eye(1), layers, np.eye(1)),
+                            random_field(g, np.random.default_rng(84)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_fused_overflow_is_caught(self):
+        g = Grid(1, 2)
+        big = FnoLayer(1, np.array([[1e200]]), None, None, False)
+        net = PsiFno(g, np.eye(1), (big, big), np.eye(1))
+        with pytest.raises(BadParameters, match="finite"):
+            fno_forward(net, random_field(g, np.random.default_rng(85)))

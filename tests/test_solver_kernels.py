@@ -188,7 +188,7 @@ class TestProductGrid:
 class TestNoComplexSolverPath:
     """The solvers run on the real pair only; a complex kernel in them is a second path."""
 
-    COMPLEX_KERNELS = ("_fft_coeffs", "_ifft_values", "_pad_or_fold")
+    COMPLEX_KERNELS = ("_fft_coeffs", "_ifft_values", "_fold")
 
     @pytest.mark.parametrize("module", [darcy, ns, emulation], ids=lambda m: m.__name__)
     def test_module_binds_no_complex_kernel(self, module):
