@@ -33,21 +33,19 @@ from .errors import (
 from .spectral import (
     Grid,
     GridField,
-    SpectralCoeffs,
     _dot,
     _flux_half,
     _half_lattice,
     _half_power,
+    _half_resize,
     _irfft_values,
     _on_grid,
     _product_radius,
     _rfft_half,
-    dft,
     field_from_function,
     idft,
     l2_norm,
     mean,
-    project,
     random_hermitian_coeffs,
     resample,
     sobolev_norm,
@@ -96,9 +94,10 @@ class DarcySolution:
 
 def _restrict(f: GridField, N: int) -> GridField:
     """f sampled on the 2N grid, truncated to zero-mean modes |k|_inf <= N at resolution N."""
-    c = project(dft(f if f.grid.N == 2 * N else resample(f, 2 * N)), N, zero_mean=True).coeffs
-    centre = tuple(slice(N, 3 * N + 1) for _ in range(f.grid.d))
-    return idft(SpectralCoeffs(Grid(f.grid.d, N), c[centre]))
+    d, on_2N = f.grid.d, (f if f.grid.N == 2 * N else resample(f, 2 * N))
+    half = _half_resize(_rfft_half(on_2N.values, d), d, N)
+    half[(0,) * d] = 0.0
+    return GridField(Grid(d, N), _on_grid(half, d, N, on_2N.grid.npoints))
 
 
 def prepare_coefficients(a: GridField, f: GridField, N: int):

@@ -27,9 +27,8 @@ from .fno import FnoLayer, PsiFno, activation, layer_forward, load_model, save_m
 from .spectral import (
     Grid,
     GridField,
-    idft,
     mode_index_list,
-    random_hermitian_coeffs,
+    random_field,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -194,7 +193,7 @@ def to_deeponet(net: PsiFno, B: float, rng=None, norm_probes: int = 20) -> DeepO
     export = _export(net, B, 0.0)
     sup_out = 0.0
     for _ in range(norm_probes):
-        a = idft(random_hermitian_coeffs(grid, rng, channels=net.d_a))
+        a = random_field(grid, rng, channels=net.d_a)
         sup_a = float(np.max(np.abs(a.values))) or 1.0
         beta = export.branch(a.values.reshape(-1) * (B / sup_a))
         sup_out = max(sup_out, float(np.linalg.norm(beta)))

@@ -51,17 +51,16 @@ from .spectral import (
     GridField,
     _advection_half,
     _flux_half,
+    _half_lattice,
     _half_resize,
     _lattice,
     _on_grid,
     _rfft_half,
     dft,
-    derivative,
-    idft,
     inverse_laplacian,
     l2_norm,
     mode_index_list,
-    random_hermitian_coeffs,
+    random_field,
     resample,
     sobolev_norm,
     truncation_mask,
@@ -120,9 +119,16 @@ def _calibrate_steps(build, budget: float, sup_carry: float, sup_prod: float, er
     return _calibrate(lambda s: build(h * (s / m), h_c * (s / m)), error, target, m)[0]
 
 
+def _sup_gradient(u: GridField, M: int) -> float:
+    """max over i, m of sup|d_i u_m| on the (2M+1)^d grid, M >= u.grid.N: one transform pair."""
+    d = u.grid.d
+    grads = _rfft_half(u.values, d)[..., None] * _half_lattice(d, u.grid.N).ik[..., None, :]
+    return float(np.max(np.abs(_on_grid(grads, d, M, u.grid.npoints))))
+
+
 def _ball_field(grid: Grid, rng, B: float, channels: int = 1) -> GridField:
     """Random band-limited probe scaled to L^2 norm B (a zero draw stays zero)."""
-    v = idft(random_hermitian_coeffs(grid, rng, channels=channels))
+    v = random_field(grid, rng, channels)
     return GridField(grid, v.values * (B / (l2_norm(v) or 1.0)))
 
 
@@ -508,8 +514,7 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
         u = GridField(sol.atilde_N.grid, np.zeros(sol.atilde_N.grid.shape + (1,)))
         for _ in range(sol.iterations):
             u = op.apply(u)
-            for ax in range(d):
-                sup_g = max(sup_g, float(np.max(np.abs(resample(derivative(u, ax), 2 * N).values))))
+            sup_g = max(sup_g, _sup_gradient(u, 2 * N))
     sup_a = RANGE_SAFETY * max(sup_a, 0.1)
     sup_g = RANGE_SAFETY * max(sup_g, 0.1)
     bias_field_vals = resample(inverse_laplacian(solutions[0].f_N), 2 * N).values
@@ -584,12 +589,7 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
         finals.append(run.final.u)
         for st in run.states:
             sup_u = max(sup_u, float(np.max(np.abs(st.u.values))))
-            for i in range(d):
-                for m in range(d):
-                    sup_g = max(
-                        sup_g,
-                        float(np.max(np.abs(derivative(st.u.channel(m), i).values))),
-                    )
+            sup_g = max(sup_g, _sup_gradient(st.u, N))
     delta = ns.random_divergence_free(small, rng, norm=max(1e-3 * l2_norm(probes[0]), 1e-6))
     pert = GridField(small, probes[0].values + delta.values)
     run_p = ns.simulate(replace(config, U=config.U * (1 + 1e-2), u0=pert), "first")
@@ -781,7 +781,7 @@ def build_ift_emulator(N: int, B: float, eps: float, d: int = 1, rng=None) -> Ps
     grid = Grid(d, N)
     inputs, wants = [], []
     for _ in range(16):
-        v = idft(random_hermitian_coeffs(grid, rng))
+        v = random_field(grid, rng)
         scale = B / max(float(np.max(np.abs(dft(v).coeffs))), 1e-30) * 0.9
         v = GridField(grid, v.values * scale)
         c = dft(v).coeffs[..., 0].ravel()

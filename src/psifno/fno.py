@@ -34,8 +34,8 @@ row) pair, and only the live rows come back to grid space.  The half
 spectrum stands for its conjugate-symmetric extension, which is why every
 layer's conjugacy is checked when the plan compiles.  layer_forward is
 the one-layer step with every channel, cached on the layer.
-SpectralCoeffs and FourierMultiplier.apply keep working on the full
-centered spectrum.
+FourierMultiplier.apply still acts on the full centered spectrum of
+spectral.dft; only the tests' reference forward calls it.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .spectral import (
     l2_norm,
     leray_project,
     random_field,
-    random_hermitian_coeffs,
     resample,
     sobolev_norm,
 )
@@ -59,9 +58,9 @@ def fit_rate(params, errors) -> float:
     """
     params = np.asarray(params, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if len(params) < 2 or np.any(errors <= 0) or np.any(params <= 0):
+    if len(np.unique(params)) < 2 or np.any(errors <= 0) or np.any(params <= 0):
         raise DegenerateFit(
-            f"need >= 2 rows with positive errors/parameters, got {len(params)}"
+            f"need >= 2 distinct parameters and positive errors/parameters, got {params}"
         )
     slope = np.polyfit(np.log(params), np.log(errors), 1)[0]
     return float(-slope)
@@ -102,6 +101,16 @@ def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _above(low, kind=float):
+    """A kind that parses with kind and rejects values not strictly above low."""
+    def parse(value):
+        v = kind(value)
+        if not v > low:
+            raise ValueError(f"expected a value above {low}, got {value!r}")
+        return v
+    return parse
 
 
 def _typed(t):
@@ -311,7 +320,7 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
         raise ConfigInvalid("the convergence oracle requires taylor-green initial data")
     amplitude = _param(init, "amplitude", float, 1.0)
     enforce_cfl = _param(params, "enforce_cfl", _typed(bool), False)
-    checkpoint_every = _param(params, "checkpoint_every", _integer, None)
+    checkpoint_every = _param(params, "checkpoint_every", _above(0, _integer), None)
     checkpoint_dir = _param(params, "checkpoint_dir", _typed(str), None)
 
     def one(row):
@@ -355,9 +364,9 @@ def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
     from .emulation import build_darcy_emulator
 
     lam, k = _param(params, "lambda", float), _param(params, "k", _integer)
-    eps = _param(params, "eps", float)
-    N_list = _param(params, "N_list", _list_of(_integer))
-    n_probes = _param(params, "probes", _integer)
+    eps = _param(params, "eps", _above(0.0))
+    N_list = _param(params, "N_list", _list_of(_above(1, _integer)))  # depth/log N needs N > 1
+    n_probes = _param(params, "probes", _above(0, _integer))
     rows, nets = [], {}
     for N in N_list:
         f = field_from_function(Grid(2, 2 * N), lambda x, y: np.cos(x) + np.sin(2 * y))
@@ -397,8 +406,10 @@ def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
 def run_ns_emulate(params: dict, seed: int, jobs: int = 1):
     from .emulation import build_ns_emulator
 
-    N, n_T, n_probes = (_param(params, key, _integer) for key in ("N", "n_T", "probes"))
-    nu, U, eps_total = (_param(params, key, float) for key in ("nu", "U", "eps_total"))
+    N, n_T = _param(params, "N", _integer), _param(params, "n_T", _integer)
+    n_probes = _param(params, "probes", _above(-1, _integer))  # Taylor-Green is always probed
+    nu, U = _param(params, "nu", float), _param(params, "U", float)
+    eps_total = _param(params, "eps_total", _above(0.0))
     tau = _param(params, "tau", float, 0.9 * ns.max_cfl_timestep(U, N, 2))
     rng = np.random.default_rng(seed)
     u0 = ns.taylor_green(nu, 0.0, N, amplitude=_param(params, "tg_amplitude", float, 0.1))
@@ -440,7 +451,7 @@ def run_ft_emulate(params: dict, seed: int, jobs: int = 1):
     from .fno import compose
     from .emulation import build_ft_emulator, build_ift_emulator
 
-    eps, B = _param(params, "eps", float), _param(params, "B", float)
+    eps, B = _param(params, "eps", _above(0.0)), _param(params, "B", _above(0.0))
     cases = [(_param(case, "d", _integer), _param(case, "N", _integer))
              for case in _param(params, "cases", _list_of(_typed(dict)))]
     rng = np.random.default_rng(seed)
@@ -453,7 +464,7 @@ def run_ft_emulate(params: dict, seed: int, jobs: int = 1):
         g = Grid(d, N)
         sup_coeff, sup_comp = 0.0, 0.0
         for _ in range(20):
-            v = idft(random_hermitian_coeffs(g, rng))
+            v = random_field(g, rng)
             v = GridField(g, v.values * (0.9 * B / (l2_norm(v) or 1.0)))
             want = dft(v).coeffs[..., 0].ravel()
             out = fno_forward(ft, v).values.reshape(-1, 2 * g.size).mean(axis=0)
@@ -481,9 +492,10 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
     from .fno import FnoLayer, FourierMultiplier, PsiFno
     from .spectral import evaluate
 
-    d, N, n_probes = (_param(params, key, _integer) for key in ("d", "N", "probes"))
+    d, N = _param(params, "d", _integer), _param(params, "N", _integer)
+    n_probes = _param(params, "probes", _above(0, _integer))
     d_v, depth = _param(params, "d_v", _integer, 3), _param(params, "depth", _integer, 2)
-    B = _param(params, "B", float, 1.0)
+    B = _param(params, "B", _above(0.0), 1.0)
     out_model = _param(params, "out_model", _typed(str), None)
     rng = np.random.default_rng(seed)
     g = Grid(d, N)
@@ -507,7 +519,7 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
     for p in range(n_probes):
         t0 = time.perf_counter()
         r2 = np.random.default_rng(seed + 10 + p)
-        a = idft(random_hermitian_coeffs(g, r2))
+        a = random_field(g, r2)
         out = fno_forward(net, a)
         pts = r2.uniform(0, 2 * np.pi, size=(3, d))
         want = evaluate(out, pts)

@@ -10,10 +10,12 @@ The transform pair
 
 is exact (an FFT reordering), so projections, derivatives, inverse
 Laplacians, Leray projection and Sobolev norms are all evaluated without
-discretization error on band-limited data.  Products of two degree-N
-polynomials are computed exactly by evaluation on a finer grid
-(de-aliasing) followed by truncation: dealiased_product uses the doubled
-grid, the solvers' half-spectrum kernels the grid of _product_radius.
+discretization error on band-limited data; products of two degree-N
+polynomials are exact on the grid of _product_radius (>= 3N+1 points per
+axis, the 3/2 rule) followed by truncation.  The centered coefficients
+(SpectralCoeffs, dft/idft) serve the callers that ask for coefficients:
+project, evaluate and the random draws.  Everything else runs on one real
+transform pair, _rfft_half/_irfft_values, in the half-spectrum layout.
 
 All operations are pure functions of immutable inputs; 64-bit floats
 throughout.
@@ -407,25 +409,6 @@ def project(c: SpectralCoeffs, M: int, zero_mean: bool = False) -> SpectralCoeff
     return SpectralCoeffs(c.grid, c.coeffs * mask[..., None], real_field=c.real_field)
 
 
-def _fold(coeffs: np.ndarray, d: int, N_from: int, N_to: int) -> np.ndarray:
-    """Centered coefficients at radius N_from folded down to radius N_to < N_from.
-
-    Each mode lands on its representative modulo 2*N_to+1, which reproduces
-    pointwise sampling of the trigonometric interpolant on the coarser grid
-    (aliasing included).
-    """
-    n_to = 2 * N_to + 1
-    out = coeffs
-    k_vals = np.arange(-N_from, N_from + 1)
-    target = (k_vals + N_to) % n_to
-    for axis in range(d):
-        moved = np.moveaxis(out, axis, 0)
-        acc = np.zeros((n_to,) + moved.shape[1:], dtype=coeffs.dtype)
-        np.add.at(acc, target, moved)
-        out = np.moveaxis(acc, 0, axis)
-    return out
-
-
 def resample(f: GridField, M: int) -> GridField:
     """Evaluate the degree-N interpolant of f on the (2M+1)^d grid.
 
@@ -439,9 +422,23 @@ def resample(f: GridField, M: int) -> GridField:
         return GridField(g, f.values.copy())
     if M > g.N:
         return GridField(Grid(g.d, M), _on_grid(_rfft_half(f.values, g.d), g.d, M, g.npoints))
-    c = dft(f)
-    out = _fold(c.coeffs, g.d, g.N, M)
-    return idft(SpectralCoeffs(Grid(g.d, M), out, real_field=True))
+    m = 2 * M + 1
+    k = np.arange(g.N + 1)
+    up, down = k % m, (-k[1:]) % m  # residues of the modes k >= 0 and -k < 0
+    v = f.values
+    for _ in range(g.d):  # fold axis 0 modulo 2M+1, then move it last among the grid axes
+        half = _rfft_half(v, 1)
+        folded = np.zeros((M + 1,) + half.shape[1:], dtype=complex)
+        np.add.at(folded, up[up <= M], half[up <= M])
+        np.add.at(folded, down[down <= M], np.conj(half[1:][down <= M]))
+        v = np.moveaxis(_irfft_values(folded, 1) * (m / g.npoints), 0, g.d - 1)
+    return GridField(Grid(g.d, M), v)
+
+
+def _multiply(f: GridField, mult: np.ndarray) -> GridField:
+    """The field whose half spectrum is that of f times mult (a half-layout mode array)."""
+    g = f.grid
+    return GridField(g, _irfft_values(_rfft_half(f.values, g.d) * mult, g.d))
 
 
 def derivative(f: GridField, axis: int) -> GridField:
@@ -449,8 +446,7 @@ def derivative(f: GridField, axis: int) -> GridField:
     g = f.grid
     if not 0 <= axis < g.d:
         raise DimensionMismatch(f"axis {axis} out of range for dimension {g.d}")
-    out = dft(f).coeffs * _lattice(g.d, g.N).ik[..., axis, None]
-    return idft(SpectralCoeffs(g, out, real_field=True))
+    return _multiply(f, _half_lattice(g.d, g.N).ik[..., axis, None])
 
 
 def gradient(f: GridField) -> list:
@@ -463,17 +459,16 @@ def divergence(u: GridField) -> GridField:
     g = u.grid
     if u.channels != g.d:
         raise DimensionMismatch(f"divergence needs {g.d} channels, got {u.channels}")
-    out = _dot(_lattice(g.d, g.N).ik, dft(u).coeffs)[..., None]
-    return idft(SpectralCoeffs(g, out, real_field=True))
+    div = _dot(_half_lattice(g.d, g.N).ik, _rfft_half(u.values, g.d))
+    return GridField(g, _irfft_values(div[..., None], g.d))
 
 
 def dealiased_product(u: GridField, v: GridField) -> GridField:
-    """Exact truncated product P_N(u*v) via evaluation on the doubled grid.
+    """Exact truncated product P_N(u*v) via evaluation on the product grid.
 
-    Both factors are resampled to mode radius 2N (exact), multiplied
-    pointwise, and the transform of the product -- exactly band-limited to
-    2N -- is truncated back to |k|_inf <= N.  Channel counts must match or
-    one factor must be scalar (broadcast).
+    Both factors are evaluated exactly on the grid of _product_radius(N) and
+    multiplied pointwise; truncating the product's transform to |k|_inf <= N
+    is exact there.  Channel counts must match or one factor must be scalar.
     """
     if u.grid != v.grid:
         raise DimensionMismatch("dealiased_product requires a shared grid")
@@ -482,12 +477,9 @@ def dealiased_product(u: GridField, v: GridField) -> GridField:
             f"channel mismatch {u.channels} vs {v.channels} (no broadcast)"
         )
     g = u.grid
-    uu = resample(u, 2 * g.N)
-    vv = resample(v, 2 * g.N)
-    w = GridField(uu.grid, uu.values * vv.values)
-    c = dft(w)
-    out = _fold(project(c, g.N).coeffs, g.d, 2 * g.N, g.N)
-    return idft(SpectralCoeffs(g, out, real_field=True))
+    M = _product_radius(g.N)
+    uu, vv = (_on_grid(_rfft_half(w.values, g.d), g.d, M, g.npoints) for w in (u, v))
+    return GridField(g, _on_grid(_rfft_half(uu * vv, g.d), g.d, g.N, 2 * M + 1))
 
 
 def leray_project(u: GridField) -> GridField:
@@ -535,20 +527,15 @@ def mean(f: GridField) -> np.ndarray:
 
 def inverse_laplacian(f: GridField) -> GridField:
     """Zero-mean solution of -Lap(u) = f - mean(f): multiplier 1/|k|^2, k != 0."""
-    g = f.grid
-    out = dft(f).coeffs * _lattice(g.d, g.N).inv_k2[..., None]
-    return idft(SpectralCoeffs(g, out, real_field=True))
+    return _multiply(f, _half_lattice(f.grid.d, f.grid.N).inv_k2[..., None])
 
 
 def helmholtz_inverse(f: GridField, alpha: float) -> GridField:
     """(1 - alpha*Lap)^-1: multiplier 1/(1 + alpha|k|^2); contraction for alpha >= 0."""
     if alpha < 0:
         raise BadParameters(f"helmholtz_inverse requires alpha >= 0, got {alpha}")
-    g = f.grid
-    c = dft(f)
-    k2 = _lattice(g.d, g.N).k2
-    out = c.coeffs / (1.0 + alpha * k2)[..., None]
-    return idft(SpectralCoeffs(g, out, real_field=True))
+    k2 = _half_lattice(f.grid.d, f.grid.N).k2
+    return _multiply(f, 1.0 / (1.0 + alpha * k2)[..., None])
 
 
 def evaluate(f: GridField, points: np.ndarray) -> np.ndarray:

@@ -50,6 +50,42 @@ def naive_idft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return out.reshape(grid.shape + (coeffs.shape[-1],))
 
 
+def centered_multiply(f: GridField, factors) -> np.ndarray:
+    """Grid values of the field whose naive_dft coefficients are factors times f's.
+
+    factors broadcasts against (|K_N|, channels) in mode_list order; the
+    imaginary part of naive_idft is dropped, which is round-off only when
+    factors(-k) = conj(factors(k)).
+    """
+    c = naive_dft(f).reshape(-1, f.channels) * factors
+    return naive_idft(c.reshape(f.grid.shape + (f.channels,)), f.grid).real
+
+
+def _k2(grid: Grid) -> np.ndarray:
+    return np.sum(mode_list(grid) ** 2, axis=-1)[:, None].astype(float)
+
+
+def derivative_oracle(f: GridField, axis: int) -> np.ndarray:
+    """d f / d x_axis on the centered spectrum: multiplier i k_axis."""
+    return centered_multiply(f, 1j * mode_list(f.grid)[:, axis, None])
+
+
+def divergence_oracle(u: GridField) -> np.ndarray:
+    """sum_i d u_i / d x_i on the centered spectrum, one channel."""
+    return centered_multiply(u, 1j * mode_list(u.grid)).sum(axis=-1, keepdims=True)
+
+
+def inverse_laplacian_oracle(f: GridField) -> np.ndarray:
+    """Multiplier 1/|k|^2 for k != 0 and 0 at k = 0."""
+    k2 = _k2(f.grid)
+    return centered_multiply(f, np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0))
+
+
+def helmholtz_inverse_oracle(f: GridField, alpha: float) -> np.ndarray:
+    """Multiplier 1/(1 + alpha |k|^2)."""
+    return centered_multiply(f, 1.0 / (1.0 + alpha * _k2(f.grid)))
+
+
 def convolution_truncated(cu: np.ndarray, cv: np.ndarray, N: int) -> np.ndarray:
     """Exact coefficient convolution of two K_N arrays, truncated to K_N.
 

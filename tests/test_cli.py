@@ -43,6 +43,12 @@ class TestFitRate:
         with pytest.raises(DegenerateFit):
             fit_rate([1, 2], [0.5, 0.0])
 
+    def test_fewer_than_two_distinct_parameters(self):
+        with pytest.raises(DegenerateFit):
+            fit_rate([8, 8], [0.1, 0.05])
+        with pytest.raises(DegenerateFit):
+            fit_rate([8.0, 8, 8], [0.1, 0.05, 0.02])
+
     def test_local_rates(self):
         rates = local_rates([1, 2, 4], [1.0, 0.5, 0.125])
         assert np.isnan(rates[0])
@@ -307,6 +313,21 @@ def integer_paths(value, path=()):
             yield from integer_paths(inner, path + (key,))
 
 
+# values outside their domain; each once ran (and some passed vacuously) instead of exiting 2
+OUT_OF_RANGE_CASES = [
+    ("darcy-emulate", ("probes",), 0),
+    ("deeponet-export", ("probes",), 0),
+    ("ns-converge", ("checkpoint_every",), 0),
+    ("ns-converge", ("checkpoint_every",), -1),
+    ("darcy-emulate", ("eps",), -2e-3),
+    ("ns-emulate", ("eps_total",), -2e-3),
+    ("ns-emulate", ("probes",), -1),
+    ("ft-emulate", ("eps",), -1e-3),
+    ("ft-emulate", ("B",), -1.0),
+    ("deeponet-export", ("B",), 0.0),
+    ("darcy-emulate", ("N_list", 0), 1),
+]
+
 INTEGER_CASES = [(kind, path) for kind in sorted(SMALL_CONFIGS)
                  for path in integer_paths(SMALL_CONFIGS[kind])]
 
@@ -322,6 +343,24 @@ class TestMalformedConfigs:
         target[path[-1]] += 0.5
         cfg = write_config(tmp_path, kind, params)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("kind,path,value", OUT_OF_RANGE_CASES, ids=[
+        f"{kind}:{'.'.join(map(str, path))}={value}" for kind, path, value in OUT_OF_RANGE_CASES])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, kind, path, value):
+        params = json.loads(json.dumps(SMALL_CONFIGS[kind]))
+        target = params
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = write_config(tmp_path, kind, params)
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"psifno: error: config key '{path[0]}'")
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_parameter_is_a_degenerate_fit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "darcy-converge", {"lambda": 0.5, "k": 1, "N_list": [8, 8]})
+        assert main(["darcy-converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "distinct" in capsys.readouterr().err
 
     def test_integral_float_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, "darcy-converge",

@@ -1,17 +1,21 @@
 """The solvers' half-spectrum kernels against oracles built from public functions.
 
-The oracles use only the checked public operations (dealiased_product on
-the doubled grid, derivative, divergence, inverse_laplacian,
-helmholtz_inverse, leray_project), so they share none of the solvers'
-product-grid code.
+The oracles use only the public operations (dealiased_product, derivative,
+divergence, inverse_laplacian, helmholtz_inverse, leray_project), each of
+which tests/test_spectral.py checks against direct convolution or explicit
+sums over the centered spectrum.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psifno import darcy, emulation, navier_stokes as ns
+import psifno
+from psifno import darcy, emulation, navier_stokes as ns, spectral
 from psifno.darcy import PicardOperator, prepare_coefficients, random_decay_coefficient
 from psifno.navier_stokes import (
     NsConfig,
@@ -39,7 +43,7 @@ from psifno.spectral import (
     resample,
 )
 
-from helpers import rel_err
+from helpers import convolution_truncated, naive_dft, naive_idft, rel_err
 
 
 def _stack(fields) -> GridField:
@@ -182,13 +186,27 @@ class TestProductGrid:
         uu, vv = (_on_grid(_rfft_half(f.values, d), d, M, g.npoints) for f in (u, v))
         prod = _half_resize(_rfft_half(uu * vv, d), d, N)
         got = _on_grid(prod, d, N, 2 * M + 1)
-        assert rel_err(got, dealiased_product(u, v).values) < 1e-12
+        want = naive_idft(convolution_truncated(naive_dft(u)[..., 0], naive_dft(v)[..., 0], N)
+                          [..., None], g).real
+        assert rel_err(got, want) < 1e-12
+
+
+def _names(code) -> set:
+    """Global and attribute names a code object reads, nested code objects included."""
+    out = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            out |= _names(const)
+    return out
 
 
 class TestNoComplexSolverPath:
-    """The solvers run on the real pair only; a complex kernel in them is a second path."""
+    """The solvers, the spectral operators and the emulators' range probes run on
+    the real pair only; a complex kernel or a centered round trip in them is a
+    second path."""
 
-    COMPLEX_KERNELS = ("_fft_coeffs", "_ifft_values", "_fold")
+    COMPLEX_KERNELS = ("_fft_coeffs", "_ifft_values")
+    CENTERED = COMPLEX_KERNELS + ("dft", "idft", "SpectralCoeffs")
 
     @pytest.mark.parametrize("module", [darcy, ns, emulation], ids=lambda m: m.__name__)
     def test_module_binds_no_complex_kernel(self, module):
@@ -199,3 +217,56 @@ class TestNoComplexSolverPath:
                                     emulation._truncated])
     def test_oracles_name_no_complex_kernel(self, fn):
         assert not [k for k in self.COMPLEX_KERNELS if k in fn.__code__.co_names]
+
+    @pytest.mark.parametrize("fn", [
+        emulation._sup_gradient, emulation.build_darcy_emulator,
+        emulation.build_ns_emulator, spectral.derivative, spectral.gradient,
+        spectral.divergence, spectral.inverse_laplacian, spectral.helmholtz_inverse,
+        spectral.dealiased_product, spectral.resample, spectral.leray_project,
+        spectral.sobolev_norm, darcy._restrict, darcy.prepare_coefficients,
+    ], ids=lambda fn: f"{fn.__module__}.{fn.__name__}")
+    def test_function_names_no_centered_round_trip(self, fn):
+        assert not _names(fn.__code__) & set(self.CENTERED)
+
+
+TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn", "rfft", "irfft"}
+KERNELS = {"_fft_coeffs", "_ifft_values", "_rfft_half", "_irfft_values"}
+
+
+def _transform_uses(path: Path):
+    """(enclosing function, name, line) of every transform name a module mentions."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in TRANSFORMS:
+            found.append((fn, name, node.lineno))
+        if isinstance(node, ast.alias) and node.name in TRANSFORMS:
+            found.append((fn, node.name, None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+class TestTransformKernels:
+    """Every FFT in the package sits in one of the four transform kernels."""
+
+    SOURCES = sorted(Path(psifno.__file__).parent.glob("*.py"))
+
+    def test_sources_found(self):
+        assert "spectral.py" in [p.name for p in self.SOURCES]
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+    def test_transforms_only_inside_the_kernels(self, path):
+        stray = [(fn, name, line) for fn, name, line in _transform_uses(path)
+                 if not (path.name == "spectral.py" and fn in KERNELS)]
+        assert not stray, f"transform outside the kernels in {path.name}: {stray}"
+
+    def test_each_kernel_holds_a_transform(self):
+        uses = _transform_uses(Path(spectral.__file__))
+        assert {fn for fn, _, _ in uses} == KERNELS

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psifno.errors import (
     BadParameters,
@@ -36,7 +38,15 @@ from psifno.spectral import (
     sobolev_norm,
 )
 
-from helpers import convolution_truncated, naive_dft, rel_err
+from helpers import (
+    convolution_truncated,
+    derivative_oracle,
+    divergence_oracle,
+    helmholtz_inverse_oracle,
+    inverse_laplacian_oracle,
+    naive_dft,
+    rel_err,
+)
 
 
 def centered_index(grid, *k):
@@ -215,6 +225,21 @@ class TestResample:
         coarse = Grid(1, 2)
         pts = coarse.axis_coordinates()[:, None]
         assert rel_err(down.values[:, 0], evaluate(f, pts)[:, 0]) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_coarser_grid_is_evaluation_at_its_points(self, data):
+        d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+        N = data.draw(st.integers(min_value=2, max_value=(12, 6, 3)[d - 1]), label="N")
+        M = data.draw(st.integers(min_value=1, max_value=N - 1), label="M")
+        channels = data.draw(st.integers(min_value=1, max_value=2), label="channels")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        f = random_field(Grid(d, N), rng, channels=channels)
+        coarse = Grid(d, M)
+        pts = np.stack([x.ravel() for x in np.meshgrid(
+            *[coarse.axis_coordinates()] * d, indexing="ij")], axis=-1)
+        want = evaluate(f, pts).reshape(coarse.shape + (channels,))
+        assert rel_err(resample(f, M).values, want) < 1e-12
 
     def test_projection_error_decays_spectrally(self):
         # ||(1-P_M) f||_L2 <= C M^-s for |coeffs| = (1+|k|)^-(s+d/2+0.5)
@@ -412,6 +437,35 @@ class TestHelmholtzInverse:
     def test_rejects_negative_alpha(self):
         with pytest.raises(BadParameters):
             helmholtz_inverse(constant_field(Grid(1, 1), 1.0), -0.1)
+
+
+class TestOperatorsAgainstCenteredOracles:
+    """The half-spectrum operators against explicit sums over the centered spectrum."""
+
+    CASES = [(1, 9, 2), (2, 5, 1), (2, 6, 2), (3, 3, 1)]
+
+    @pytest.mark.parametrize("d,N,channels", CASES)
+    def test_derivative(self, d, N, channels):
+        f = random_field(Grid(d, N), np.random.default_rng(N), channels=channels)
+        for axis in range(d):
+            assert rel_err(derivative(f, axis).values, derivative_oracle(f, axis)) < 1e-12
+
+    @pytest.mark.parametrize("d,N", [(d, N) for d, N, _ in CASES])
+    def test_divergence(self, d, N):
+        u = random_field(Grid(d, N), np.random.default_rng(N + 1), channels=d)
+        assert rel_err(divergence(u).values, divergence_oracle(u)) < 1e-12
+
+    @pytest.mark.parametrize("d,N,channels", CASES)
+    def test_inverse_laplacian(self, d, N, channels):
+        f = random_field(Grid(d, N), np.random.default_rng(N + 2), channels=channels)
+        assert rel_err(inverse_laplacian(f).values, inverse_laplacian_oracle(f)) < 1e-12
+
+    @pytest.mark.parametrize("d,N,channels", CASES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 3.0])
+    def test_helmholtz_inverse(self, d, N, channels, alpha):
+        f = random_field(Grid(d, N), np.random.default_rng(N + 3), channels=channels)
+        got = helmholtz_inverse(f, alpha).values
+        assert rel_err(got, helmholtz_inverse_oracle(f, alpha)) < 1e-12
 
 
 class TestEvaluate:
