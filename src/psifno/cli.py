@@ -20,7 +20,12 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigInvalid, PsifnoError
-from .harness import CSV_HEADERS, SCHEMA, _param, _typed, run_experiment
+from .harness import CSV_HEADERS, _at_least, _one_of, _typed, parse_config, run_experiment
+
+SCHEMA = "psifno-experiment/1"
+_SEED, _JOBS = _at_least(0), _at_least(1)
+# the config document's own keys, parsed like params; "kind" must also name the subcommand
+DOCUMENT = {"schema": (_one_of(SCHEMA), SCHEMA), "seed": (_SEED, 0), "params": (_typed(dict), {})}
 
 
 def _format_cell(v) -> str:
@@ -39,15 +44,12 @@ def write_csv(path: Path, kind: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def load_config(path) -> dict:
+def load_config(path, kind: str):
+    """The config document at path, parsed; it must be for experiment `kind`."""
     try:
-        doc = _typed(dict)(json.loads(Path(path).read_text()))
-    except (OSError, TypeError, json.JSONDecodeError) as exc:
+        return parse_config({**DOCUMENT, "kind": _one_of(kind)}, json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON or not an object
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    if doc.get("schema", SCHEMA) != SCHEMA:
-        raise ConfigInvalid(f"unsupported config schema {doc.get('schema')!r}")
-    return {"kind": _param(doc, "kind", _typed(str)), "seed": _param(doc, "seed", int, 0),
-            "params": _param(doc, "params", _typed(dict), {})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default="psifno-out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+        p.add_argument("--seed", type=_SEED, default=None, help="override the config seed")
+        p.add_argument("--jobs", type=_JOBS, default=1, help="worker pool size")
     return parser
 
 
@@ -79,11 +81,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    doc = load_config(args.config)
-    if doc["kind"] != args.kind:
-        raise ConfigInvalid(
-            f"config is for {doc['kind']!r} but subcommand is {args.kind!r}"
-        )
+    doc = load_config(args.config, args.kind)
     seed = args.seed if args.seed is not None else doc["seed"]
     rows, summary = run_experiment(args.kind, doc["params"], seed, jobs=args.jobs)
 

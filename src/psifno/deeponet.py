@@ -308,7 +308,7 @@ def load_deeponet(base_path) -> DeepOnetExport:
 
     No network is evaluated on probes; the descriptor's p, d_u and trunk are
     checked against the rebuilt export, and BadParameters is raised when
-    the descriptor is unreadable or disagrees.
+    the descriptor or the model it names is unreadable, or they disagree.
     """
     base = Path(base_path)
     try:
@@ -316,8 +316,8 @@ def load_deeponet(base_path) -> DeepOnetExport:
         model, B, B_bar = base.parent / doc["branch"]["psifno"], doc.get("B"), float(doc["B_bar"])
         trunk = tuple(TrunkFunction(fn["kind"], tuple(fn["k"]), fn["scale"]) for fn in doc["trunk"])
         shape = (doc["p"], doc["d_u"], trunk)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise BadParameters(f"{base}: malformed DeepONet descriptor ({exc!r})") from None
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+        raise BadParameters(f"{base}: unreadable DeepONet descriptor ({exc!r})") from None
     export = _export(load_model(model), B, B_bar)
     if shape != (export.p, export.d_u, export.trunk):
         raise BadParameters(f"{base}: descriptor does not match the rebuilt branch/trunk")

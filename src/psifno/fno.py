@@ -685,13 +685,16 @@ def _header_int(obj: dict, key: str, minimum: int) -> int:
 def load_model(path) -> PsiFno:
     """Read a PSIFNO1 file written by save_model; repeated layers come back shared.
 
-    Raises BadParameters on a foreign file, a header that is cut short, not
-    JSON or missing fields, a payload whose length differs from what the
-    header describes, non-finite values, a multiplier that breaks
-    conjugacy, or a same_as that names no earlier layer, so a bad file
-    fails here rather than mid-forward.
+    Raises BadParameters on a file that cannot be read, a foreign file, a
+    header that is cut short, not JSON or missing fields, a payload whose
+    length differs from what the header describes, non-finite values, a
+    multiplier that breaks conjugacy, or a same_as that names no earlier
+    layer, so a bad file fails here rather than mid-forward.
     """
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise BadParameters(f"cannot read model {path}: {exc}") from exc
     if raw[: len(MAGIC)] != MAGIC:
         raise BadParameters(f"{path}: not a PSIFNO1 model file")
     off = len(MAGIC) + 8

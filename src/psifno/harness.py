@@ -1,7 +1,9 @@
 """Experiment runners behind the command-line interface.
 
-Each experiment consumes a JSON-serializable parameter block plus a seed,
-fans out over its parameter list with a bounded worker pool, and returns
+Each experiment consumes a JSON-serializable parameter block, parsed
+against its table in RUNNERS before any work (ConfigInvalid names a
+missing, unknown or out-of-domain key), plus a seed; it fans out over its
+parameter list with a bounded worker pool, and returns
 (rows, summary): CSV rows with a fixed header (documented in
 docs/csv-schemas.md) and a JSON summary carrying per-criterion pass flags,
 measured slopes and tolerances.  The seed fully determines every random
@@ -13,19 +15,23 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
 
 import numpy as np
 
 from . import darcy as dm
+from . import deeponet as don
+from . import emulation as em
 from . import navier_stokes as ns
 from .errors import ConfigInvalid, DegenerateFit
-from .fno import fno_forward, size_report
+from .fno import FnoLayer, FourierMultiplier, PsiFno, compose, fno_forward, size_report
 from .spectral import (
     Grid,
     GridField,
     dealiased_product,
     dft,
     divergence,
+    evaluate,
     field_from_function,
     idft,
     l2_norm,
@@ -34,8 +40,6 @@ from .spectral import (
     resample,
     sobolev_norm,
 )
-
-SCHEMA = "psifno-experiment/1"
 
 CSV_HEADERS = {
     "spectral-check": ["check", "value", "tolerance", "pass"],
@@ -68,32 +72,49 @@ def fit_rate(params, errors) -> float:
 
 def local_rates(params, errors):
     """Consecutive-row log-ratios under the fit_rate convention."""
-    out = [float("nan")]
-    for i in range(1, len(params)):
-        out.append(
-            -(np.log(errors[i]) - np.log(errors[i - 1]))
-            / (np.log(params[i]) - np.log(params[i - 1]))
-        )
-    return out
+    rates = -np.diff(np.log(errors)) / np.diff(np.log(params))
+    return [float("nan")] + rates.tolist()
 
 
-_REQUIRED = object()
+class _Invalid(Exception):
+    """A rejected config value; args are (dotted key path, reason)."""
 
 
-def _param(params: dict, key: str, kind, default=_REQUIRED):
-    """kind(params[key]), or default when the key is absent.
-
-    Raises ConfigInvalid for a missing key without a default and for a
-    value that kind rejects with TypeError or ValueError.
-    """
-    if key not in params:
-        if default is _REQUIRED:
-            raise ConfigInvalid(f"missing config key {key!r}")
-        return default
+def _param(block: dict, key: str, spec):
+    """block[key] parsed by spec: a kind for a required key, or (kind, default) for an
+    optional one, whose default is parsed by kind too unless it is None (unset)."""
+    optional = isinstance(spec, tuple)
+    kind, default = spec if optional else (spec, None)
+    if key not in block:
+        if not optional:
+            raise _Invalid(key, "missing")
+        if default is None:
+            return None
     try:
-        return kind(params[key])
+        return kind(block.get(key, default))
+    except _Invalid as exc:  # from a nested block
+        raise _Invalid(f"{key}.{exc.args[0]}", exc.args[1]) from None
     except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"config key {key!r}: {exc}") from None
+        raise _Invalid(key, str(exc)) from None
+
+
+def _block(table: dict):
+    """A kind for a JSON object holding only keys of table {key: spec} (see _param);
+    it returns a read-only record of every key in the table."""
+    def parse(value):
+        unknown = sorted(set(_typed(dict)(value)) - set(table))
+        if unknown:
+            raise _Invalid(unknown[0], f"unknown key; expected one of {sorted(table)}")
+        return MappingProxyType({key: _param(value, key, spec) for key, spec in table.items()})
+    return parse
+
+
+def parse_config(table: dict, block: dict):
+    """The record of block under table; ConfigInvalid names the first bad key."""
+    try:
+        return _block(table)(block)
+    except _Invalid as exc:
+        raise ConfigInvalid(f"config key {exc.args[0]!r}: {exc.args[1]}") from None
 
 
 def _integer(value) -> int:
@@ -103,30 +124,40 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _above(low, kind=float):
-    """A kind that parses with kind and rejects values not strictly above low."""
+def _checked(test, domain: str, kind=lambda v: v):
+    """A kind that parses with kind and rejects values v with test(v) false."""
     def parse(value):
         v = kind(value)
-        if not v > low:
-            raise ValueError(f"expected a value above {low}, got {value!r}")
+        if not test(v):
+            raise ValueError(f"expected {domain}, got {value!r}")
         return v
+    parse.__name__ = domain  # argparse names the kind in its usage errors
     return parse
 
 
 def _typed(t):
-    """A kind that accepts values of type t unchanged and rejects the rest."""
-    def check(value):
-        if not isinstance(value, t):
-            raise TypeError(f"expected {t.__name__}, got {value!r}")
-        return value
-    return check
+    return _checked(lambda v: isinstance(v, t), t.__name__)
 
 
-def _list_of(kind):
-    def parse(value) -> list:
-        if not isinstance(value, list) or not value:
-            raise TypeError(f"expected a non-empty list, got {value!r}")
-        return [kind(v) for v in value]
+def _at_least(low: int):
+    return _checked(lambda v: v >= low, f"integer >= {low}", _integer)
+
+
+def _one_of(*values):
+    return _checked(lambda v: v in values, f"one of {list(values)}")
+
+
+_positive = _checked(lambda v: v > 0, "number > 0", float)
+_in_unit = _checked(lambda v: 0 < v < 1, "number in (0, 1)", float)
+
+
+def _list_of(kind, distinct: int = 1):
+    """A kind for a list of at least `distinct` distinct values of kind, returned as a tuple."""
+    def parse(value) -> tuple:
+        items = tuple(kind(v) for v in _typed(list)(value))
+        if len(set(items) if distinct > 1 else items) < distinct:
+            raise ValueError(f"expected {distinct} or more distinct entries, got {value!r}")
+        return items
     return parse
 
 
@@ -148,7 +179,13 @@ def _check_row(name, value, tol):
             "pass": bool(value <= tol)}
 
 
-def run_spectral_check(params: dict, seed: int, jobs: int = 1):
+def _checks_result(rows):
+    """(rows, summary) of a run whose rows are _check_row results."""
+    return rows, {"pass": {r["check"]: r["pass"] for r in rows},
+                  "tolerances": {r["check"]: r["tolerance"] for r in rows}}
+
+
+def run_spectral_check(params: MappingProxyType, seed: int, jobs: int = 1):
     from scipy.signal import convolve
 
     rng = np.random.default_rng(seed)
@@ -198,16 +235,11 @@ def run_spectral_check(params: dict, seed: int, jobs: int = 1):
         worst_div = max(worst_div, np.max(np.abs(divergence(p1).values)) / l2_norm(u))
     rows.append(_check_row("leray_idempotence", worst_idem, 1e-10))
     rows.append(_check_row("leray_divergence", worst_div, 1e-10))
-
-    summary = {
-        "pass": {r["check"]: r["pass"] for r in rows},
-        "tolerances": {r["check"]: r["tolerance"] for r in rows},
-    }
-    return rows, summary
+    return _checks_result(rows)
 
 
-def run_property_suite(params: dict, seed: int, jobs: int = 1):
-    rows, summary = run_spectral_check(params, seed, jobs)
+def run_property_suite(params: MappingProxyType, seed: int, jobs: int = 1):
+    rows, _ = run_spectral_check(params, seed, jobs)
     rng = np.random.default_rng(seed + 1)
 
     # Darcy contraction property
@@ -234,12 +266,7 @@ def run_property_suite(params: dict, seed: int, jobs: int = 1):
         default=0.0,
     )
     rows.append(_check_row("ns_inner_iterate_decay", worst, 1 + 1e-6))
-
-    summary = {
-        "pass": {r["check"]: r["pass"] for r in rows},
-        "tolerances": {r["check"]: r["tolerance"] for r in rows},
-    }
-    return rows, summary
+    return _checks_result(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +274,22 @@ def run_property_suite(params: dict, seed: int, jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _darcy_coefficient(spec: dict, resolution: int, lam: float, rng):
-    kind = _param(spec, "kind", _typed(str), "trig")
-    if kind == "trig":
-        return dm.trig_coefficient(2, resolution, _param(spec, "amplitude", float, 0.3))
-    if kind == "random_decay":
-        return dm.random_decay_coefficient(
-            2, resolution, lam, rng,
-            length_scale=_param(spec, "length_scale", float, 0.7),
-            rho=_param(spec, "rho", float, 0.9),
-        )
-    raise ConfigInvalid(f"unknown coefficient kind {kind!r}")
-
-
-def run_darcy_converge(params: dict, seed: int, jobs: int = 1):
-    lam = _param(params, "lambda", float)
-    k = _param(params, "k", _integer)
-    N_list = _param(params, "N_list", _list_of(_integer))
+def run_darcy_converge(params: MappingProxyType, seed: int, jobs: int = 1):
+    lam, k, N_list = params["lambda"], params["k"], params["N_list"]
     rng = np.random.default_rng(seed)
-    source = _param(_param(params, "source", _typed(dict), {}), "kind", _typed(str), "manufactured")
 
     N_max = max(N_list)
-    if source == "manufactured":
+    if params["source"]["kind"] == "manufactured":
         a, f, u_ref = dm.manufactured_problem(2, lam, k, N_max, rng)
-    elif source == "trig":
-        res = 4 * N_max
-        a = _darcy_coefficient(_param(params, "coefficient", _typed(dict), {}), res, lam, rng)
+    else:
+        res, coef = 4 * N_max, params["coefficient"]
+        if coef["kind"] == "trig":
+            a = dm.trig_coefficient(2, res, coef["amplitude"])
+        else:
+            a = dm.random_decay_coefficient(2, res, lam, rng, length_scale=coef["length_scale"],
+                                            rho=coef["rho"])
         f = field_from_function(Grid(2, res), lambda x, y: np.cos(x) + np.sin(2 * y))
         u_ref = dm.solve(dm.DarcyProblem(a, f, lam, k, 2 * N_max)).u
-    else:
-        raise ConfigInvalid(f"unknown source kind {source!r}")
 
     def one(N):
         t0 = time.perf_counter()
@@ -291,14 +304,13 @@ def run_darcy_converge(params: dict, seed: int, jobs: int = 1):
         }
 
     rows = _fan_out(N_list, one, jobs)
-    rate = fit_rate(N_list, [r["err_H1"] for r in rows])
-    summary = {
+    errs = [r["err_H1"] for r in rows]
+    rate = fit_rate(N_list, errs)
+    return rows, {
         "pass": {"h1_rate": bool(rate >= k - 0.3)},
-        "slopes": {"err_H1": rate,
-                   "local": local_rates(N_list, [r["err_H1"] for r in rows])},
+        "slopes": {"err_H1": rate, "local": local_rates(N_list, errs)},
         "tolerances": {"h1_rate_min": k - 0.3},
     }
-    return rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +318,18 @@ def run_darcy_converge(params: dict, seed: int, jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def run_ns_converge(params: dict, seed: int, jobs: int = 1):
-    if _param(params, "d", _integer) != 2:
-        raise ConfigInvalid("convergence studies use the analytic 2-d vortex oracle")
-    N = _param(params, "N", _integer)
-    nu, T, U = (_param(params, key, float) for key in ("nu", "T", "U"))
-    scheme = _param(params, "scheme", _typed(str))
-    if scheme not in ("first", "second"):
-        raise ConfigInvalid(f"scheme must be 'first' or 'second', got {scheme!r}")
-    taus = _param(params, "tau_list", _list_of(float), None) or [_param(params, "tau", float)]
-    init = _param(params, "init", _typed(dict), {})
-    if _param(init, "kind", _typed(str), "taylor-green") != "taylor-green":
-        raise ConfigInvalid("the convergence oracle requires taylor-green initial data")
-    amplitude = _param(init, "amplitude", float, 1.0)
-    enforce_cfl = _param(params, "enforce_cfl", _typed(bool), False)
-    checkpoint_every = _param(params, "checkpoint_every", _above(0, _integer), None)
-    checkpoint_dir = _param(params, "checkpoint_dir", _typed(str), None)
+def run_ns_converge(params: MappingProxyType, seed: int, jobs: int = 1):
+    N, nu, T, U, scheme, taus = (params[key] for key in ("N", "nu", "T", "U", "scheme", "tau_list"))
+    amplitude, checkpoint_dir = params["init"]["amplitude"], params["checkpoint_dir"]
 
     def one(row):
         i, tau = row
         t0 = time.perf_counter()
         u0 = ns.taylor_green(nu, 0.0, N, amplitude=amplitude)
         cfg = ns.NsConfig(d=2, N=N, nu=nu, T=T, tau=tau, U=U, u0=u0,
-                          enforce_cfl=enforce_cfl)
+                          enforce_cfl=params["enforce_cfl"])
         # one subdirectory per row, so rows never share a checkpoint file
-        run = ns.simulate(cfg, scheme, checkpoint_every=checkpoint_every,
+        run = ns.simulate(cfg, scheme, checkpoint_every=params["checkpoint_every"],
                           checkpoint_dir=checkpoint_dir and f"{checkpoint_dir}/tau_{i:02d}")
         exact = ns.taylor_green(nu, T, N, amplitude=amplitude)
         err = l2_norm(GridField(u0.grid, run.final.u.values - exact.values))
@@ -343,16 +342,14 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
 
     rows = _fan_out(list(enumerate(taus)), one, jobs)
     band = (0.8, 1.2) if scheme == "first" else (1.7, 2.3)
-    slope = fit_rate([1.0 / t for t in taus], [r["err_L2_final"] for r in rows])
-    summary = {
+    inverse_taus, errs = [1.0 / t for t in taus], [r["err_L2_final"] for r in rows]
+    slope = fit_rate(inverse_taus, errs)
+    return rows, {
         "pass": {"temporal_rate": bool(band[0] <= slope <= band[1]),
                  "energy_bound": bool(max(r["energy_max_ratio"] for r in rows) <= np.e)},
-        "slopes": {"err_L2_final": slope,
-                   "local": local_rates([1.0 / t for t in taus],
-                                        [r["err_L2_final"] for r in rows])},
+        "slopes": {"err_L2_final": slope, "local": local_rates(inverse_taus, errs)},
         "tolerances": {"band": list(band)},
     }
-    return rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +357,17 @@ def run_ns_converge(params: dict, seed: int, jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
-    from .emulation import build_darcy_emulator
-
-    lam, k = _param(params, "lambda", float), _param(params, "k", _integer)
-    eps = _param(params, "eps", _above(0.0))
-    N_list = _param(params, "N_list", _list_of(_above(1, _integer)))  # depth/log N needs N > 1
-    n_probes = _param(params, "probes", _above(0, _integer))
-    rows, nets = [], {}
+def run_darcy_emulate(params: MappingProxyType, seed: int, jobs: int = 1):
+    lam, k, eps, N_list, n_probes = (params[key] for key in
+                                     ("lambda", "k", "eps", "N_list", "probes"))
+    rows, reps = [], {}
     for N in N_list:
         f = field_from_function(Grid(2, 2 * N), lambda x, y: np.cos(x) + np.sin(2 * y))
         t0 = time.perf_counter()
-        net = build_darcy_emulator(f, lam, N, k, B=2.0, eps=eps,
-                                   rng=np.random.default_rng(seed + N))
+        net = em.build_darcy_emulator(f, lam, N, k, B=2.0, eps=eps,
+                                      rng=np.random.default_rng(seed + N))
         build_s = time.perf_counter() - t0
-        nets[N] = net
-        rep = size_report(net)
+        rep = reps[N] = size_report(net)
         rng = np.random.default_rng(seed + 1000 + N)
         for p in range(n_probes):
             t1 = time.perf_counter()
@@ -389,9 +381,9 @@ def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
                 "seconds": (time.perf_counter() - t1) + (build_s if p == 0 else 0.0),
             })
     errs_ok = all(r["err_H1"] <= r["eps"] for r in rows)
-    depth_ratios = [size_report(nets[N]).depth / np.log(N) for N in N_list]
-    width_ratios = [size_report(nets[N]).width / (4 * N + 1) ** 2 for N in N_list]
-    summary = {
+    depth_ratios = [reps[N].depth / np.log(N) for N in N_list]
+    width_ratios = [reps[N].width / (4 * N + 1) ** 2 for N in N_list]
+    return rows, {
         "pass": {
             "probe_errors": bool(errs_ok),
             "depth_log_bounded": bool(max(depth_ratios) / min(depth_ratios) < 2.0),
@@ -400,33 +392,25 @@ def run_darcy_emulate(params: dict, seed: int, jobs: int = 1):
         "slopes": {"depth_over_logN": depth_ratios, "width_over_grid": width_ratios},
         "tolerances": {"eps": eps},
     }
-    return rows, summary
 
 
-def run_ns_emulate(params: dict, seed: int, jobs: int = 1):
-    from .emulation import build_ns_emulator
-
-    N, n_T = _param(params, "N", _integer), _param(params, "n_T", _integer)
-    n_probes = _param(params, "probes", _above(-1, _integer))  # Taylor-Green is always probed
-    nu, U = _param(params, "nu", float), _param(params, "U", float)
-    eps_total = _param(params, "eps_total", _above(0.0))
-    tau = _param(params, "tau", float, 0.9 * ns.max_cfl_timestep(U, N, 2))
+def run_ns_emulate(params: MappingProxyType, seed: int, jobs: int = 1):
+    N, n_T, n_probes, nu, U, eps_total = (params[key] for key in
+                                          ("N", "n_T", "probes", "nu", "U", "eps_total"))
+    tau = params["tau"] or 0.9 * ns.max_cfl_timestep(U, N, 2)
     rng = np.random.default_rng(seed)
-    u0 = ns.taylor_green(nu, 0.0, N, amplitude=_param(params, "tg_amplitude", float, 0.1))
+    u0 = ns.taylor_green(nu, 0.0, N, amplitude=params["tg_amplitude"])
     if l2_norm(u0) > U:
         raise ConfigInvalid("Taylor-Green amplitude exceeds the energy bound U")
     cfg = ns.NsConfig(d=2, N=N, nu=nu, T=n_T * tau, tau=tau, U=U, u0=u0)
     t0 = time.perf_counter()
-    net = build_ns_emulator(cfg, eps_total=eps_total, rng=rng)
+    net = em.build_ns_emulator(cfg, eps_total=eps_total, rng=rng)
     build_s = time.perf_counter() - t0
     rep = size_report(net)
 
-    inits = [("taylor-green", u0)]
-    for p in range(n_probes):
-        inits.append(
-            (f"random-{p}",
-             ns.random_divergence_free(Grid(2, N), rng, norm=0.8 * U))
-        )
+    inits = [("taylor-green", u0)] + [
+        (f"random-{p}", ns.random_divergence_free(Grid(2, N), rng, norm=0.8 * U))
+        for p in range(n_probes)]
     rows = []
     for i, (name, v0) in enumerate(inits):
         t1 = time.perf_counter()
@@ -439,27 +423,21 @@ def run_ns_emulate(params: dict, seed: int, jobs: int = 1):
             "depth": rep.depth, "width": rep.width,
             "seconds": (time.perf_counter() - t1) + (build_s if i == 0 else 0.0),
         })
-    summary = {
+    return rows, {
         "pass": {"trajectory_errors": bool(all(r["err_L2"] <= eps_total for r in rows))},
         "tolerances": {"eps_total": eps_total},
         "slopes": {},
     }
-    return rows, summary
 
 
-def run_ft_emulate(params: dict, seed: int, jobs: int = 1):
-    from .fno import compose
-    from .emulation import build_ft_emulator, build_ift_emulator
-
-    eps, B = _param(params, "eps", _above(0.0)), _param(params, "B", _above(0.0))
-    cases = [(_param(case, "d", _integer), _param(case, "N", _integer))
-             for case in _param(params, "cases", _list_of(_typed(dict)))]
+def run_ft_emulate(params: MappingProxyType, seed: int, jobs: int = 1):
+    eps, B = params["eps"], params["B"]
     rng = np.random.default_rng(seed)
     rows = []
-    for d, N in cases:
+    for d, N in ((case["d"], case["N"]) for case in params["cases"]):
         t0 = time.perf_counter()
-        ft = build_ft_emulator(N, B=B, eps=eps / 2, d=d, rng=rng)
-        ift = build_ift_emulator(N, B=B, eps=eps / 2, d=d, rng=rng)
+        ft = em.build_ft_emulator(N, B=B, eps=eps / 2, d=d, rng=rng)
+        ift = em.build_ift_emulator(N, B=B, eps=eps / 2, d=d, rng=rng)
         pipe = compose(ift, ft)
         g = Grid(d, N)
         sup_coeff, sup_comp = 0.0, 0.0
@@ -478,25 +456,16 @@ def run_ft_emulate(params: dict, seed: int, jobs: int = 1):
             "compose_coeff_err": sup_comp, "eps": eps,
             "seconds": time.perf_counter() - t0,
         })
-    summary = {
+    return rows, {
         "pass": {"coefficient_errors": bool(all(r["sup_coeff_err"] <= eps for r in rows)),
                  "composition_errors": bool(all(r["compose_coeff_err"] <= eps for r in rows))},
         "tolerances": {"eps": eps},
         "slopes": {},
     }
-    return rows, summary
 
 
-def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
-    from .deeponet import to_deeponet
-    from .fno import FnoLayer, FourierMultiplier, PsiFno
-    from .spectral import evaluate
-
-    d, N = _param(params, "d", _integer), _param(params, "N", _integer)
-    n_probes = _param(params, "probes", _above(0, _integer))
-    d_v, depth = _param(params, "d_v", _integer, 3), _param(params, "depth", _integer, 2)
-    B = _param(params, "B", _above(0.0), 1.0)
-    out_model = _param(params, "out_model", _typed(str), None)
+def run_deeponet_export(params: MappingProxyType, seed: int, jobs: int = 1):
+    d, N, n_probes, d_v, depth = (params[key] for key in ("d", "N", "probes", "d_v", "depth"))
     rng = np.random.default_rng(seed)
     g = Grid(d, N)
     layers = []
@@ -508,11 +477,9 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
         layers.append(FnoLayer(d_v, w, random_field(g, rng, channels=d_v), mult, True))
     net = PsiFno(g, rng.standard_normal((d_v, 1)), tuple(layers),
                  rng.standard_normal((1, d_v)) / d_v)
-    export = to_deeponet(net, B=B, rng=rng)
-    if out_model is not None:
-        from .deeponet import save_deeponet
-
-        save_deeponet(export, net, out_model)
+    export = don.to_deeponet(net, B=params["B"], rng=rng)
+    if params["out_model"] is not None:
+        don.save_deeponet(export, net, params["out_model"])
 
     rows = []
     worst = 0.0
@@ -529,7 +496,7 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
         worst = max(worst, err / scale)
         rows.append({"probe": p, "off_grid_err": err, "scale": scale,
                      "seconds": time.perf_counter() - t0})
-    summary = {
+    return rows, {
         "pass": {
             "off_grid": bool(worst <= 1e-9),
             "width_equality": bool(export.width == d_v * g.size),
@@ -538,22 +505,53 @@ def run_deeponet_export(params: dict, seed: int, jobs: int = 1):
         "tolerances": {"off_grid_rel": 1e-9},
         "slopes": {},
     }
-    return rows, summary
 
 
+# kind -> (runner, parameter table {key: spec}); a spec is the kind of a required key,
+# or (kind, default) for an optional one, a None default leaving it unset
 RUNNERS = {
-    "spectral-check": run_spectral_check,
-    "property-suite": run_property_suite,
-    "darcy-converge": run_darcy_converge,
-    "ns-converge": run_ns_converge,
-    "darcy-emulate": run_darcy_emulate,
-    "ns-emulate": run_ns_emulate,
-    "ft-emulate": run_ft_emulate,
-    "deeponet-export": run_deeponet_export,
+    "spectral-check": (run_spectral_check, {}),
+    "property-suite": (run_property_suite, {}),
+    "darcy-converge": (run_darcy_converge, {
+        "lambda": _in_unit, "k": _at_least(1), "N_list": _list_of(_at_least(1), distinct=2),
+        "source": (_block({"kind": (_one_of("manufactured", "trig"), "manufactured")}), {}),
+        "coefficient": (_block({"kind": (_one_of("trig", "random_decay"), "trig"),
+                                "amplitude": (float, 0.3), "length_scale": (_positive, 0.7),
+                                "rho": (_in_unit, 0.9)}), {}),
+    }),
+    "ns-converge": (run_ns_converge, {
+        "d": _one_of(2),  # the analytic vortex oracle is two-dimensional
+        "N": _at_least(1), "nu": float, "T": _positive, "U": _positive,
+        "scheme": _one_of("first", "second"), "tau_list": _list_of(_positive, distinct=2),
+        "init": (_block({"kind": (_one_of("taylor-green"), "taylor-green"),
+                         "amplitude": (_positive, 1.0)}), {}),
+        "enforce_cfl": (_typed(bool), False),
+        "checkpoint_every": (_at_least(1), None), "checkpoint_dir": (_typed(str), None),
+    }),
+    "darcy-emulate": (run_darcy_emulate, {
+        "lambda": _in_unit, "k": _at_least(1), "eps": _positive, "probes": _at_least(1),
+        "N_list": _list_of(_at_least(2), distinct=2),  # depth/log N needs N > 1
+    }),
+    "ns-emulate": (run_ns_emulate, {
+        "N": _at_least(1), "n_T": _at_least(1), "nu": float, "U": _positive,
+        "eps_total": _positive, "probes": _at_least(0),  # Taylor-Green is always probed
+        "tau": (_positive, None),  # unset: 0.9 times the CFL time step
+        "tg_amplitude": (float, 0.1),
+    }),
+    "ft-emulate": (run_ft_emulate, {
+        "eps": _positive, "B": _positive,
+        "cases": _list_of(_block({"d": _at_least(1), "N": _at_least(1)})),
+    }),
+    "deeponet-export": (run_deeponet_export, {
+        "d": _at_least(1), "N": _at_least(1), "probes": _at_least(1),
+        "d_v": (_at_least(1), 3), "depth": (_at_least(1), 2), "B": (_positive, 1.0),
+        "out_model": (_typed(str), None),
+    }),
 }
 
 
 def run_experiment(kind: str, params: dict, seed: int, jobs: int = 1):
     if kind not in RUNNERS:
         raise ConfigInvalid(f"unknown experiment kind {kind!r}; known: {sorted(RUNNERS)}")
-    return RUNNERS[kind](params, seed, jobs)
+    runner, table = RUNNERS[kind]
+    return runner(parse_config(table, params), seed, jobs)

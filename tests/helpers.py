@@ -12,8 +12,9 @@ assuming shift equivariance.
 import numpy as np
 from scipy.signal import convolve
 
-from psifno.fno import FnoLayer, activation, layer_forward
-from psifno.spectral import Grid, GridField, SpectralCoeffs, dft, idft, resample
+from psifno.fno import FnoLayer, FourierMultiplier, PsiFno, activation, layer_forward
+from psifno.spectral import (Grid, GridField, SpectralCoeffs, dft, idft, random_field,
+                            resample)
 
 
 def mode_list(grid: Grid) -> np.ndarray:
@@ -149,3 +150,18 @@ def probe_layer_dense(layer, grid: Grid, act) -> tuple:
         M[:, j] = layer_forward(bare, GridField(grid, probe.reshape(grid.shape + (d_v,))),
                                 act).values.reshape(-1) - c
     return M, c
+
+
+def small_random_net(grid, rng, d_a=1, d_v=3, d_u=1, depth=2):
+    """A network of `depth` activated layers with random weights, biases and
+    one-term Hermitian multipliers."""
+    layers = []
+    for _ in range(depth):
+        w = rng.standard_normal((d_v, d_v)) / d_v
+        raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        s = 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(grid.d)))))
+        mult = FourierMultiplier(grid.d, grid.N, [(s, rng.standard_normal((d_v, d_v)) / d_v)], d_v)
+        layers.append(FnoLayer(d_v, w, random_field(grid, rng, channels=d_v), mult, True))
+    R = rng.standard_normal((d_v, d_a))
+    Q = rng.standard_normal((d_u, d_v)) / d_v
+    return PsiFno(grid, R, tuple(layers), Q)

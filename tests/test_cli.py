@@ -151,6 +151,12 @@ class TestCliRuns:
         code = main(["spectral-check", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_config_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = main(["spectral-check", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_missing_params_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "darcy-converge", {"lambda": 0.5})
         code = main(["darcy-converge", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -215,13 +221,13 @@ class TestPropertySuite:
 class TestEmulatorSubcommands:
     def test_darcy_emulate(self, tmp_path):
         cfg = write_config(tmp_path, "darcy-emulate",
-                           {"lambda": 0.5, "k": 1, "N_list": [4], "eps": 2e-3,
+                           {"lambda": 0.5, "k": 1, "N_list": [2, 4], "eps": 2e-3,
                             "probes": 3})
         out = tmp_path / "out"
         assert main(["darcy-emulate", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "darcy-emulate.csv").read_text().splitlines()
         assert lines[0] == "N,probe,err_H1,eps,depth,width,lift,seconds"
-        assert len(lines) == 4
+        assert len(lines) == 7
 
     def test_ns_emulate(self, tmp_path):
         cfg = write_config(tmp_path, "ns-emulate",
@@ -276,10 +282,11 @@ class TestExitCodes:
 
 # one small config per experiment; each valid one runs in well under a second
 SMALL_CONFIGS = {
-    "darcy-converge": {"lambda": 0.5, "k": 1, "N_list": [4, 8]},
+    "darcy-converge": {"lambda": 0.5, "k": 1, "N_list": [4, 8], "source": {"kind": "trig"},
+                       "coefficient": {"kind": "random_decay"}},
     "ns-converge": {"d": 2, "N": 8, "nu": 0.05, "T": 0.08, "U": 4.5, "tau_list": [0.04, 0.02],
                     "scheme": "first", "init": {"kind": "taylor-green"}, "enforce_cfl": False},
-    "darcy-emulate": {"lambda": 0.5, "k": 1, "N_list": [4], "eps": 2e-3, "probes": 3},
+    "darcy-emulate": {"lambda": 0.5, "k": 1, "N_list": [2, 4], "eps": 2e-3, "probes": 3},
     "ns-emulate": {"N": 4, "nu": 0.05, "n_T": 2, "U": 0.5, "eps_total": 2e-3, "probes": 2},
     "ft-emulate": {"cases": [{"d": 1, "N": 2}], "eps": 1e-3, "B": 1.0},
     "deeponet-export": {"d": 1, "N": 2, "probes": 5},
@@ -287,20 +294,34 @@ SMALL_CONFIGS = {
 OTHER_TYPES = ["ab", None, True, 1.5, [], {}, ["x"], {"kind": "x"}, [[4]]]
 
 
+def objects(value):
+    """Every JSON object inside a config value, the value itself included."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    for inner in value if isinstance(value, list) else ():
+        yield from objects(inner)
+
+
 @st.composite
 def malformed_configs(draw):
-    """A small config with one key dropped or one value replaced by another type,
-    either in the document or in its params block."""
+    """A small config with one key dropped, one value replaced by another type or
+    one unknown key added, in the document, its params block or a nested block.
+    Returns (kind, doc, whether an unknown key was added)."""
     kind = draw(st.sampled_from(sorted(SMALL_CONFIGS)))
     doc = {"schema": "psifno-experiment/1", "kind": kind, "seed": 0,
            "params": json.loads(json.dumps(SMALL_CONFIGS[kind]))}
-    target = doc["params"] if draw(st.booleans()) else doc
-    key = draw(st.sampled_from(sorted(target)))
-    if draw(st.booleans()):
-        del target[key]
+    target = draw(st.sampled_from(list(objects(doc))))
+    action = draw(st.sampled_from(["drop", "replace", "add"] if target else ["add"]))
+    if action == "add":
+        target["not_a_key"] = draw(st.sampled_from(OTHER_TYPES))
     else:
-        target[key] = draw(st.sampled_from(OTHER_TYPES))
-    return kind, doc
+        key = draw(st.sampled_from(sorted(target)))
+        if action == "drop":
+            del target[key]
+        else:
+            target[key] = draw(st.sampled_from(OTHER_TYPES))
+    return kind, doc, action == "add"
 
 
 def integer_paths(value, path=()):
@@ -313,7 +334,9 @@ def integer_paths(value, path=()):
             yield from integer_paths(inner, path + (key,))
 
 
-# values outside their domain; each once ran (and some passed vacuously) instead of exiting 2
+# values outside their domain; each once ran (and some passed vacuously or failed with an
+# internal error) instead of exiting 2.  A path leads into the params block, or names a
+# document key ("seed") or a command-line flag ("--jobs").
 OUT_OF_RANGE_CASES = [
     ("darcy-emulate", ("probes",), 0),
     ("deeponet-export", ("probes",), 0),
@@ -326,6 +349,17 @@ OUT_OF_RANGE_CASES = [
     ("ft-emulate", ("B",), -1.0),
     ("deeponet-export", ("B",), 0.0),
     ("darcy-emulate", ("N_list", 0), 1),
+    ("darcy-emulate", ("N_list",), [4]),
+    ("ns-converge", ("init", "amplitude"), 0),
+    ("deeponet-export", ("d_v",), 0),
+    ("deeponet-export", ("depth",), 0),
+    ("darcy-converge", ("coefficient", "rho"), 0),
+    ("darcy-converge", ("coefficient", "length_scale"), -1),
+    ("darcy-converge", ("seed",), -3),
+    ("darcy-converge", ("seed",), 1.5),
+    ("darcy-converge", ("--seed",), -1),
+    ("darcy-converge", ("--jobs",), 0),
+    ("darcy-converge", ("--jobs",), -3),
 ]
 
 INTEGER_CASES = [(kind, path) for kind in sorted(SMALL_CONFIGS)
@@ -347,14 +381,30 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize("kind,path,value", OUT_OF_RANGE_CASES, ids=[
         f"{kind}:{'.'.join(map(str, path))}={value}" for kind, path, value in OUT_OF_RANGE_CASES])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, kind, path, value):
-        params = json.loads(json.dumps(SMALL_CONFIGS[kind]))
-        target = params
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        cfg = write_config(tmp_path, kind, params)
-        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"psifno: error: config key '{path[0]}'")
+        doc = {"schema": "psifno-experiment/1", "kind": kind, "seed": 0,
+               "params": json.loads(json.dumps(SMALL_CONFIGS[kind]))}
+        cfg = tmp_path / "config.json"
+        argv = [kind, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if path[0].startswith("--"):
+            argv += [path[0], str(value)]
+        else:
+            target = doc if path[0] in doc else doc["params"]
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        cfg.write_text(json.dumps(doc))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        if path[0].startswith("--"):
+            assert f"error: argument {path[0]}: invalid" in err
+        else:
+            dotted = ".".join(k for k in path if isinstance(k, str))
+            assert err.startswith(f"psifno: error: config key '{dotted}'")
+            assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_repeated_parameter_is_a_degenerate_fit(self, tmp_path, capsys):
@@ -370,7 +420,7 @@ class TestMalformedConfigs:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(malformed_configs())
     def test_never_an_internal_error(self, case):
-        kind, doc = case
+        kind, doc, unknown_key = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(doc))
@@ -378,3 +428,5 @@ class TestMalformedConfigs:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([kind, "--config", str(path), "--out", str(Path(tmp) / "out")])
         assert code != 3, err.getvalue()
+        if unknown_key:
+            assert code == 2 and "config key" in err.getvalue() and "not_a_key" in err.getvalue()

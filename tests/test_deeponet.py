@@ -22,20 +22,7 @@ from psifno.spectral import (
     resample,
 )
 
-from helpers import probe_layer_dense, rel_err
-
-
-def small_random_net(grid, rng, d_a=1, d_v=3, d_u=1, depth=2):
-    layers = []
-    for _ in range(depth):
-        w = rng.standard_normal((d_v, d_v)) / d_v
-        raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        s = 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(grid.d)))))
-        mult = FourierMultiplier(grid.d, grid.N, [(s, rng.standard_normal((d_v, d_v)) / d_v)], d_v)
-        layers.append(FnoLayer(d_v, w, random_field(grid, rng, channels=d_v), mult, True))
-    R = rng.standard_normal((d_v, d_a))
-    Q = rng.standard_normal((d_u, d_v)) / d_v
-    return PsiFno(grid, R, tuple(layers), Q)
+from helpers import probe_layer_dense, rel_err, small_random_net
 
 
 def identity_net(grid):
