@@ -28,6 +28,14 @@ _SEED, _JOBS = _at_least(0), _at_least(1)
 DOCUMENT = {"schema": (_one_of(SCHEMA), SCHEMA), "seed": (_SEED, 0), "params": (_typed(dict), {})}
 
 
+def _option(kind):
+    """kind for a command-line value, read as the JSON value its text spells."""
+    def parse(text: str):
+        return kind(json.loads(text))
+    parse.__name__ = kind.__name__  # argparse names the kind in its usage errors
+    return parse
+
+
 def _format_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -63,8 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default="psifno-out", help="output directory")
-        p.add_argument("--seed", type=_SEED, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=_JOBS, default=1, help="worker pool size")
+        p.add_argument("--seed", type=_option(_SEED), default=None,
+                       help="override the config seed")
+        p.add_argument("--jobs", type=_option(_JOBS), default=1, help="worker pool size")
     return parser
 
 

@@ -55,6 +55,7 @@ from .spectral import (
     _half_resize,
     _lattice,
     _on_grid,
+    _product_radius,
     _rfft_half,
     dft,
     inverse_laplacian,
@@ -488,9 +489,12 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
 
     Input: the coefficient a sampled at resolution >= 2N (one channel), in
     the dimension of the source f.
-    Output: the approximate solution u_N (one channel, band-limited to N,
-    represented at resolution 2N).  The end-to-end H^1 discrepancy against
-    the solver is verified on coercive calibration probes and h is reduced
+    Output: the approximate solution u_N (one channel, band-limited to N)
+    on the solvers' product grid Grid(d, _product_radius(N)), where the
+    state's degree-2N products are exact (the 3/2 rule) and a folded input
+    aliases only above N; compare it with a reference through resample, as
+    h1_error_against does.  The end-to-end H^1 discrepancy against the
+    solver is verified on coercive calibration probes and h is reduced
     until it falls below eps.
     """
     from . import darcy as darcy_mod
@@ -498,7 +502,8 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
     rng = rng if rng is not None else np.random.default_rng(3)
     d = f.grid.d
     K = darcy_mod.iteration_count(lam, N, k)
-    grid = Grid(d, 2 * N)
+    M = _product_radius(N)
+    grid = Grid(d, M)
     D = 6 * d + 2
 
     # calibration probes: coercive coefficients from the documented generator
@@ -507,6 +512,8 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
     ]
     f_in = f if f.grid.N >= 2 * N else resample(f, 2 * N)
     solutions = [darcy_mod.solve(darcy_mod.DarcyProblem(a, f_in, lam, k, N)) for a in probes]
+    # the ranges are sampled on the finer 2N grid, so the steps calibration starts
+    # from do not depend on the network grid
     sup_a, sup_g = 0.0, 0.0
     for sol in solutions:
         sup_a = max(sup_a, float(np.max(np.abs(resample(sol.atilde_N, 2 * N).values))))
@@ -517,7 +524,7 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
             sup_g = max(sup_g, _sup_gradient(u, 2 * N))
     sup_a = RANGE_SAFETY * max(sup_a, 0.1)
     sup_g = RANGE_SAFETY * max(sup_g, 0.1)
-    bias_field_vals = resample(inverse_laplacian(solutions[0].f_N), 2 * N).values
+    bias_field_vals = resample(inverse_laplacian(solutions[0].f_N), M).values
 
     mask_dot = _mask(grid, N, zero_mean=True)
     lat = _lattice(d, grid.N)
@@ -549,9 +556,10 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
                   "ranges": [sup_a, sup_g], "lam": lam, "k": k, "N": N, "B": B},
         )
 
-    refs = [resample(sol.u, 2 * N) for sol in solutions]
+    inputs = [resample(a, M) for a in probes]  # folded once, as fno_forward would fold them
+    refs = [resample(sol.u, M) for sol in solutions]
     return _calibrate_steps(build, eps / (2.0 * K), sup_a, sup_a + sup_g,
-                            _probe_error(probes, refs, lambda e: sobolev_norm(e, 1.0)), 0.7 * eps)
+                            _probe_error(inputs, refs, lambda e: sobolev_norm(e, 1.0)), 0.7 * eps)
 
 
 # ---------------------------------------------------------------------------

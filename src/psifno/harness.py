@@ -13,6 +13,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
@@ -117,9 +118,18 @@ def parse_config(table: dict, block: dict):
         raise ConfigInvalid(f"config key {exc.args[0]!r}: {exc.args[1]}") from None
 
 
+def _number(value) -> float:
+    """A finite JSON number as a float; booleans, strings, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, integers beyond float range
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int(value), rejecting a number with a fractional part instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integral _number as an int, rejecting a fractional part instead of truncating it."""
+    if not _number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -147,8 +157,8 @@ def _one_of(*values):
     return _checked(lambda v: v in values, f"one of {list(values)}")
 
 
-_positive = _checked(lambda v: v > 0, "number > 0", float)
-_in_unit = _checked(lambda v: 0 < v < 1, "number in (0, 1)", float)
+_positive = _checked(lambda v: v > 0, "number > 0", _number)
+_in_unit = _checked(lambda v: 0 < v < 1, "number in (0, 1)", _number)
 
 
 def _list_of(kind, distinct: int = 1):
@@ -516,12 +526,12 @@ RUNNERS = {
         "lambda": _in_unit, "k": _at_least(1), "N_list": _list_of(_at_least(1), distinct=2),
         "source": (_block({"kind": (_one_of("manufactured", "trig"), "manufactured")}), {}),
         "coefficient": (_block({"kind": (_one_of("trig", "random_decay"), "trig"),
-                                "amplitude": (float, 0.3), "length_scale": (_positive, 0.7),
+                                "amplitude": (_number, 0.3), "length_scale": (_positive, 0.7),
                                 "rho": (_in_unit, 0.9)}), {}),
     }),
     "ns-converge": (run_ns_converge, {
         "d": _one_of(2),  # the analytic vortex oracle is two-dimensional
-        "N": _at_least(1), "nu": float, "T": _positive, "U": _positive,
+        "N": _at_least(1), "nu": _number, "T": _positive, "U": _positive,
         "scheme": _one_of("first", "second"), "tau_list": _list_of(_positive, distinct=2),
         "init": (_block({"kind": (_one_of("taylor-green"), "taylor-green"),
                          "amplitude": (_positive, 1.0)}), {}),
@@ -533,10 +543,10 @@ RUNNERS = {
         "N_list": _list_of(_at_least(2), distinct=2),  # depth/log N needs N > 1
     }),
     "ns-emulate": (run_ns_emulate, {
-        "N": _at_least(1), "n_T": _at_least(1), "nu": float, "U": _positive,
+        "N": _at_least(1), "n_T": _at_least(1), "nu": _number, "U": _positive,
         "eps_total": _positive, "probes": _at_least(0),  # Taylor-Green is always probed
         "tau": (_positive, None),  # unset: 0.9 times the CFL time step
-        "tg_amplitude": (float, 0.1),
+        "tg_amplitude": (_number, 0.1),
     }),
     "ft-emulate": (run_ft_emulate, {
         "eps": _positive, "B": _positive,

@@ -360,6 +360,19 @@ OUT_OF_RANGE_CASES = [
     ("darcy-converge", ("--seed",), -1),
     ("darcy-converge", ("--jobs",), 0),
     ("darcy-converge", ("--jobs",), -3),
+    # booleans and numeric strings are not numbers
+    ("deeponet-export", ("probes",), True),
+    ("darcy-emulate", ("eps",), True),
+    ("darcy-converge", ("seed",), True),
+    ("darcy-converge", ("k",), "2"),
+    ("ns-emulate", ("eps_total",), "1e-3"),
+    ("darcy-converge", ("--seed",), "true"),
+    # nor are NaN and the infinities, which Python's json reads
+    ("ns-converge", ("nu",), float("nan")),
+    ("ns-converge", ("T",), float("inf")),
+    ("ns-emulate", ("tg_amplitude",), float("nan")),
+    ("darcy-converge", ("coefficient", "amplitude"), -float("inf")),
+    ("darcy-converge", ("--jobs",), "NaN"),
 ]
 
 INTEGER_CASES = [(kind, path) for kind in sorted(SMALL_CONFIGS)

@@ -336,6 +336,21 @@ class TestDarcyEmulator:
         err = dm.h1_error_against(got, resample(sol.u, 2 * N))
         assert err <= 1e-3
 
+    def test_runs_on_the_product_grid(self, darcy_emulator_small):
+        # 2M+1 >= 3N+1 points carry the degree-2N products exactly (25^2 at N = 8, not 33^2)
+        from psifno.spectral import _half_lattice, _product_radius, _rfft_half
+
+        net, f, N, lam, k = darcy_emulator_small
+        assert net.grid == Grid(2, _product_radius(N)) and net.grid.N == 12
+        a = dm.random_decay_coefficient(2, 2 * N, lam, np.random.default_rng(42))
+        got = fno_forward(net, a)
+        assert got.grid == net.grid
+        half = _rfft_half(got.values, 2)
+        above_N = np.max(np.abs(_half_lattice(2, net.grid.N).k), axis=-1) > N
+        assert np.max(np.abs(half[above_N])) <= 1e-12 * np.max(np.abs(half))
+        # a 2N-grid input is folded onto the network grid, where it aliases only above N
+        assert np.array_equal(fno_forward(net, resample(a, net.grid.N)).values, got.values)
+
     def test_depth_logarithmic_in_N(self):
         lam, k = 0.5, 1
         f16 = field_from_function(Grid(2, 32), lambda x, y: np.cos(x))
@@ -550,7 +565,7 @@ class TestBuilderOutputsValidate:
         g2 = net.grid
         L1 = net.layers[0]
         rng = np.random.default_rng(31)
-        probe = resample(unit_ball_field(Grid(2, N), rng), 2 * N)
+        probe = resample(unit_ball_field(Grid(2, N), rng), g2.N)
         state = np.zeros(g2.shape + (net.d_v,))
         state[..., 1] = probe.values[..., 0]  # u channel
         out = layer_forward(L1, GridField(g2, state), activation(net.activation))
