@@ -29,9 +29,9 @@ DOCUMENT = {"schema": (_one_of(SCHEMA), SCHEMA), "seed": (_SEED, 0), "params": (
 
 
 def _option(kind):
-    """kind for a command-line value, read as the JSON value its text spells."""
+    """kind for a command-line value, read as a decimal integer."""
     def parse(text: str):
-        return kind(json.loads(text))
+        return kind(int(text))
     parse.__name__ = kind.__name__  # argparse names the kind in its usage errors
     return parse
 

@@ -487,8 +487,13 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
                          rng=None, calibration_probes: int = 4) -> PsiFno:
     """Network replaying the Darcy fixed-point algorithm for a fixed source.
 
-    Input: the coefficient a sampled at resolution >= 2N (one channel), in
-    the dimension of the source f.
+    Input: the coefficient a sampled on the 2N grid (one channel), in the
+    dimension of the source f.  fno_forward folds it onto the network grid,
+    which aliases only above N, so the network replays the solver's
+    coefficient exactly.  A finer coefficient is folded straight onto the
+    network grid, not through the 2N grid as the solver folds it, so its
+    modes above 2N alias differently: the network then replays a slightly
+    different coefficient from the solver's.
     Output: the approximate solution u_N (one channel, band-limited to N)
     on the solvers' product grid Grid(d, _product_radius(N)), where the
     state's degree-2N products are exact (the 3/2 rule) and a folded input

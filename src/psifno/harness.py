@@ -370,7 +370,7 @@ def run_ns_converge(params: MappingProxyType, seed: int, jobs: int = 1):
 def run_darcy_emulate(params: MappingProxyType, seed: int, jobs: int = 1):
     lam, k, eps, N_list, n_probes = (params[key] for key in
                                      ("lambda", "k", "eps", "N_list", "probes"))
-    rows, reps = [], {}
+    rows, reps, points = [], {}, {}
     for N in N_list:
         f = field_from_function(Grid(2, 2 * N), lambda x, y: np.cos(x) + np.sin(2 * y))
         t0 = time.perf_counter()
@@ -378,6 +378,7 @@ def run_darcy_emulate(params: MappingProxyType, seed: int, jobs: int = 1):
                                       rng=np.random.default_rng(seed + N))
         build_s = time.perf_counter() - t0
         rep = reps[N] = size_report(net)
+        points[N] = net.grid.size
         rng = np.random.default_rng(seed + 1000 + N)
         for p in range(n_probes):
             t1 = time.perf_counter()
@@ -392,7 +393,7 @@ def run_darcy_emulate(params: MappingProxyType, seed: int, jobs: int = 1):
             })
     errs_ok = all(r["err_H1"] <= r["eps"] for r in rows)
     depth_ratios = [reps[N].depth / np.log(N) for N in N_list]
-    width_ratios = [reps[N].width / (4 * N + 1) ** 2 for N in N_list]
+    width_ratios = [reps[N].width / points[N] for N in N_list]  # per point of the network grid
     return rows, {
         "pass": {
             "probe_errors": bool(errs_ok),

@@ -229,6 +229,18 @@ class TestEmulatorSubcommands:
         assert lines[0] == "N,probe,err_H1,eps,depth,width,lift,seconds"
         assert len(lines) == 7
 
+    def test_darcy_emulate_width_ratio_is_the_lift(self, tmp_path):
+        # 2M+1 = 7 and 15 points at N = 2 and 3, against 4N+1 = 9 and 13: width over
+        # the network's own grid is the lift at both N, so the growth check holds
+        cfg = write_config(tmp_path, "darcy-emulate",
+                           {"lambda": 0.5, "k": 1, "N_list": [2, 3], "eps": 2e-3,
+                            "probes": 1})
+        out = tmp_path / "out"
+        assert main(["darcy-emulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "darcy-emulate_summary.json").read_text())
+        assert summary["slopes"]["width_over_grid"] == [14.0, 14.0]
+        assert summary["pass"]["width_Nd_bounded"]
+
     def test_ns_emulate(self, tmp_path):
         cfg = write_config(tmp_path, "ns-emulate",
                            {"N": 4, "nu": 0.05, "n_T": 2, "U": 0.5,

@@ -338,7 +338,7 @@ class TestDarcyEmulator:
 
     def test_runs_on_the_product_grid(self, darcy_emulator_small):
         # 2M+1 >= 3N+1 points carry the degree-2N products exactly (25^2 at N = 8, not 33^2)
-        from psifno.spectral import _half_lattice, _product_radius, _rfft_half
+        from psifno.spectral import _half_lattice, _half_resize, _product_radius, _rfft_half
 
         net, f, N, lam, k = darcy_emulator_small
         assert net.grid == Grid(2, _product_radius(N)) and net.grid.N == 12
@@ -348,8 +348,21 @@ class TestDarcyEmulator:
         half = _rfft_half(got.values, 2)
         above_N = np.max(np.abs(_half_lattice(2, net.grid.N).k), axis=-1) > N
         assert np.max(np.abs(half[above_N])) <= 1e-12 * np.max(np.abs(half))
-        # a 2N-grid input is folded onto the network grid, where it aliases only above N
-        assert np.array_equal(fno_forward(net, resample(a, net.grid.N)).values, got.values)
+        # folding a 2N-grid input onto the network grid aliases only above N: modes
+        # |k|_inf <= N keep their coefficients
+        folded = resample(a, net.grid.N)
+        kept = [_half_resize(_rfft_half(g.values, 2) / g.grid.size, 2, N) for g in (a, folded)]
+        assert np.max(np.abs(kept[1] - kept[0])) <= 1e-15 * np.max(np.abs(kept[0]))
+        # fno_forward folds a 2N-grid input the same way
+        assert np.array_equal(fno_forward(net, folded).values, got.values)
+
+    def test_finer_coefficient_stays_within_eps(self, darcy_emulator_small):
+        # a 4N-grid coefficient folds straight onto the network grid, not through the
+        # 2N grid as the solver folds it; the replayed coefficients differ above 2N only
+        net, f, N, lam, k = darcy_emulator_small
+        a = dm.random_decay_coefficient(2, 4 * N, lam, np.random.default_rng(1))
+        sol = dm.solve(dm.DarcyProblem(a, f, lam, k, N))
+        assert dm.h1_error_against(fno_forward(net, a), resample(sol.u, 2 * N)) <= 1e-3
 
     def test_depth_logarithmic_in_N(self):
         lam, k = 0.5, 1
