@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="psifno-out", help="output directory")
         p.add_argument("--seed", type=_option(_SEED), default=None,
                        help="override the config seed")
-        p.add_argument("--jobs", type=_option(_JOBS), default=1, help="worker pool size")
+        p.add_argument("--jobs", type=_option(_JOBS), default=1,
+                       help="worker processes; serial where fork is unavailable")
     return parser
 
 

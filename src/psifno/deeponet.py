@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +102,18 @@ class DeepOnetExport:
         out = self.branch(flat)
         return out.reshape(self.d_u, len(self.trunk)).T
 
+    @cached_property
+    def _trunk_table(self) -> tuple:
+        """(wavevectors, scales, sin columns) of the trunk; a const is a cos at k = 0."""
+        return (np.array([fn.k for fn in self.trunk], dtype=float).reshape(len(self.trunk), -1),
+                np.array([fn.scale for fn in self.trunk]),
+                np.array([fn.kind == "sin" for fn in self.trunk]))
+
     def trunk_matrix(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return np.stack([fn(pts) for fn in self.trunk], axis=-1)
+        """e_j(y) for each query point y (rows) and trunk function j (columns)."""
+        K, scale, is_sin = self._trunk_table
+        phase = np.atleast_2d(points) @ K.T
+        return scale * np.where(is_sin, np.sin(phase), np.cos(phase))
 
     def evaluate(self, a: GridField, points: np.ndarray) -> np.ndarray:
         """sum_j beta_j(a) e_j(y) at each query point; shape (m, d_u)."""
@@ -274,7 +284,7 @@ def build_trunk_networks(export: DeepOnetExport, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# Export container: JSON descriptor next to a PSIFNO1 payload
+# Export container: JSON descriptor next to a PSIFNO2 payload
 # ---------------------------------------------------------------------------
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +53,7 @@ from scipy.special import erf
 from .errors import BadParameters, DimensionMismatch, UnknownActivation
 from .spectral import Grid, GridField, _half_layout, _irfft_values, _rfft_half, resample
 
-MAGIC = b"PSIFNO1\n"
+MAGIC = b"PSIFNO2\n"
 MULTIPLIER_SYM_RTOL = 1e-12
 
 
@@ -609,10 +610,11 @@ def size_report(net: PsiFno) -> SizeReport:
 
 
 # ---------------------------------------------------------------------------
-# Model file: MAGIC + u64 header length + JSON header + raw payload.
-# Payload order: lifting, projection, then per layer: weight?, bias?,
-# then per multiplier term: modes (c16), matrix (c16).  Little-endian, C order.
-# A layer that is an earlier one is written as {"same_as": i} with no payload.
+# Model file: MAGIC + u64 header length + JSON header + raw payload + u32 CRC-32
+# of every byte before it.  Payload order: lifting, projection, then per layer:
+# weight?, bias?, then per multiplier term: modes (c16), matrix (c16).
+# Little-endian, C order.  A layer that is an earlier one is written as
+# {"same_as": i} with no payload.
 # ---------------------------------------------------------------------------
 
 
@@ -665,14 +667,15 @@ def save_model(net: PsiFno, path) -> None:
         "meta": net.meta,
     }
     blob = json.dumps(header).encode()
+    parts[:0] = [MAGIC, struct.pack("<Q", len(blob)), blob]
+    crc = 0
+    for p in parts:
+        crc = zlib.crc32(p, crc)
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for p in parts:
-            fh.write(p)
+        fh.writelines(parts)
+        fh.write(struct.pack("<I", crc))
 
 
 def _header_int(obj: dict, key: str, minimum: int) -> int:
@@ -683,9 +686,10 @@ def _header_int(obj: dict, key: str, minimum: int) -> int:
 
 
 def load_model(path) -> PsiFno:
-    """Read a PSIFNO1 file written by save_model; repeated layers come back shared.
+    """Read a PSIFNO2 file written by save_model; repeated layers come back shared.
 
     Raises BadParameters on a file that cannot be read, a foreign file, a
+    checksum that does not match (any single flipped bit or cut), a
     header that is cut short, not JSON or missing fields, a payload whose
     length differs from what the header describes, non-finite values, a
     multiplier that breaks conjugacy, or a same_as that names no earlier
@@ -696,19 +700,22 @@ def load_model(path) -> PsiFno:
     except OSError as exc:
         raise BadParameters(f"cannot read model {path}: {exc}") from exc
     if raw[: len(MAGIC)] != MAGIC:
-        raise BadParameters(f"{path}: not a PSIFNO1 model file")
+        raise BadParameters(f"{path}: not a PSIFNO2 model file")
+    body = memoryview(raw)[:-4]  # a view: no copy of a multi-megabyte payload
+    if raw[-4:] != struct.pack("<I", zlib.crc32(body)):
+        raise BadParameters(f"{path}: checksum mismatch; the file is damaged or cut short")
     off = len(MAGIC) + 8
-    if len(raw) < off:
+    if len(body) < off:
         raise BadParameters(f"{path}: file ends inside the header length field")
-    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
-    if hlen > len(raw) - off:
+    (hlen,) = struct.unpack_from("<Q", body, len(MAGIC))
+    if hlen > len(body) - off:
         raise BadParameters(f"{path}: header of {hlen} bytes runs past the end of the file")
     try:
-        header = json.loads(raw[off : off + hlen].decode())
+        header = json.loads(bytes(body[off : off + hlen]).decode())
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise BadParameters(f"{path}: header is not JSON ({exc})") from None
     try:
-        return _model_from_header(header, memoryview(raw), off + hlen)
+        return _model_from_header(header, body, off + hlen)
     except (KeyError, TypeError) as exc:
         raise BadParameters(f"{path}: malformed header ({exc!r})") from None
     except BadParameters as exc:

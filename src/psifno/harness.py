@@ -3,7 +3,7 @@
 Each experiment consumes a JSON-serializable parameter block, parsed
 against its table in RUNNERS before any work (ConfigInvalid names a
 missing, unknown or out-of-domain key), plus a seed; it fans out over its
-parameter list with a bounded worker pool, and returns
+parameter list with a bounded pool of forked worker processes, and returns
 (rows, summary): CSV rows with a fixed header (documented in
 docs/csv-schemas.md) and a JSON summary carrying per-criterion pass flags,
 measured slopes and tolerances.  The seed fully determines every random
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
 
 import numpy as np
@@ -171,12 +170,36 @@ def _list_of(kind, distinct: int = 1):
     return parse
 
 
+_WORKER = None  # the worker a forked pool process runs; set by _install
+
+
+def _install(worker) -> None:
+    global _WORKER
+    _WORKER = worker
+
+
+def _call(task):
+    return _WORKER(task)
+
+
 def _fan_out(tasks, worker, jobs: int):
-    """Ordered map over tasks with at most `jobs` workers."""
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+    """[worker(t) for t in tasks], run by at most `jobs` forked worker processes.
+
+    Under fork the worker is inherited rather than pickled, so closures
+    work; only the tasks and the results cross the pipe.  A worker's
+    exception re-raises here, and a worker that dies raises
+    BrokenProcessPool.  Serial for one job or task, or without fork.
+    """
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_install, initargs=(worker,)) as pool:
+                return list(pool.map(_call, tasks))
+    return [worker(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +324,27 @@ def run_darcy_converge(params: MappingProxyType, seed: int, jobs: int = 1):
         f = field_from_function(Grid(2, res), lambda x, y: np.cos(x) + np.sin(2 * y))
         u_ref = dm.solve(dm.DarcyProblem(a, f, lam, k, 2 * N_max)).u
 
-    def one(N):
+    def one(task):
+        # each N is two tasks, so its Lipschitz estimate runs beside its solve
+        N, part = task
         t0 = time.perf_counter()
-        sol = dm.solve(dm.DarcyProblem(a, f, lam, k, N))
-        lip = dm.empirical_lipschitz(sol.atilde_N, sol.f_N, np.random.default_rng(seed + N),
-                                     pairs=20)
-        err_l2 = dm.l2_error_against(sol.u, u_ref)
-        err_h1 = dm.h1_error_against(sol.u, u_ref)
-        return {
-            "N": N, "K": sol.iterations, "err_L2": err_l2, "err_H1": err_h1,
-            "lipschitz_est": lip, "seconds": time.perf_counter() - t0,
-        }
+        if part == "solve":
+            sol = dm.solve(dm.DarcyProblem(a, f, lam, k, N))
+            row = {"N": N, "K": sol.iterations, "err_L2": dm.l2_error_against(sol.u, u_ref),
+                   "err_H1": dm.h1_error_against(sol.u, u_ref)}
+        else:  # the coefficients solve prepares, from the same fold of a onto the 2N grid
+            atilde_N, f_N = dm.prepare_coefficients(a, f, N)
+            row = {"lipschitz_est": dm.empirical_lipschitz(
+                atilde_N, f_N, np.random.default_rng(seed + N), pairs=20)}
+        return {**row, "seconds": time.perf_counter() - t0}
 
-    rows = _fan_out(N_list, one, jobs)
+    # largest N first, so that its two tasks, the longest, do not start last
+    tasks = [(N, part) for N in sorted(set(N_list), reverse=True) for part in ("lipschitz", "solve")]
+    done = dict(zip(tasks, _fan_out(tasks, one, jobs)))
+    rows = []
+    for N in N_list:
+        solve, lip = done[N, "solve"], done[N, "lipschitz"]
+        rows.append({**solve, **lip, "seconds": solve["seconds"] + lip["seconds"]})
     errs = [r["err_H1"] for r in rows]
     rate = fit_rate(N_list, errs)
     return rows, {

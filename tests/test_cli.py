@@ -173,16 +173,35 @@ class TestCliRuns:
         assert "[PASS]" in proc.stdout
 
     def test_jobs_fanout_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, "darcy-converge",
-                           {"lambda": 0.5, "k": 1, "N_list": [4, 8]}, seed=3)
-        results = []
-        for jobs, name in ((1, "s"), (2, "p")):
-            out = tmp_path / name
-            assert main(["darcy-converge", "--config", str(cfg), "--out", str(out),
-                         "--jobs", str(jobs)]) == 0
-            rows = (out / "darcy-converge.csv").read_text().splitlines()
-            results.append([",".join(r.split(",")[:-1]) for r in rows])
-        assert results[0] == results[1]
+        for kind, params in (
+            ("darcy-converge", {"lambda": 0.5, "k": 1, "N_list": [4, 8]}),
+            ("ns-converge", {"d": 2, "N": 8, "nu": 0.05, "T": 0.08, "U": 4.5,
+                             "scheme": "first", "tau_list": [0.04, 0.02]}),
+        ):
+            cfg = write_config(tmp_path, kind, params, seed=3)
+            results = []
+            for jobs, name in ((1, "s"), (2, "p")):
+                out = tmp_path / f"{kind}-{name}"
+                assert main([kind, "--config", str(cfg), "--out", str(out),
+                             "--jobs", str(jobs)]) == 0
+                rows = (out / f"{kind}.csv").read_text().splitlines()
+                results.append(([",".join(r.split(",")[:-1]) for r in rows],  # all but seconds
+                                (out / f"{kind}_summary.json").read_bytes()))
+            assert results[0] == results[1], kind
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cfl_violation_in_a_row_exits_2(self, tmp_path, jobs):
+        # the CFL bound at U = 4.5, N = 8 is 6.4e-4: the first tau meets it, the second does not
+        cfg = write_config(tmp_path, "ns-converge", {
+            "d": 2, "N": 8, "nu": 0.05, "T": 0.04, "U": 4.5, "scheme": "first",
+            "tau_list": [0.0005, 0.02], "enforce_cfl": True})
+        out, err = tmp_path / "out", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["ns-converge", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("psifno: error: tau = 2.000e-02 exceeds the CFL bound")
+        assert not (out / "ns-converge.csv").exists()
 
     def test_ns_converge_checkpoints_per_row(self, tmp_path):
         from psifno import navier_stokes as ns

@@ -1,6 +1,6 @@
 """Damaged saved files: every load returns a value or raises a PsifnoError.
 
-Each saved format (a PSIFNO1 model, a field's .bin/.json pair, and a
+Each saved format (a PSIFNO2 model, a field's .bin/.json pair, and a
 DeepONet export's descriptor plus the model it names) is written once.
 Each example then cuts one of its files short or flips one bit in it and
 loads the copy.
@@ -65,6 +65,27 @@ def test_damaged_file_loads_or_raises_package_error(saved, fmt, which, cut, posi
             load(root)
         except PsifnoError:
             pass
+
+
+@pytest.mark.parametrize("fmt, name", [("model", "model.psifno"), ("deeponet", "export.psifno")])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cut=st.booleans(), position=st.integers(0, 1 << 16), bit=st.integers(0, 7))
+def test_damaged_model_is_bad_parameters(saved, fmt, name, cut, position, bit):
+    # the trailing CRC-32 catches every single flipped bit and every cut
+    files, load = FORMATS[fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for f in files:
+            shutil.copy(saved / f, root / f)
+        data = bytearray((root / name).read_bytes())
+        position %= len(data)
+        if cut:
+            del data[position:]
+        else:
+            data[position] ^= 1 << bit
+        (root / name).write_bytes(bytes(data))
+        with pytest.raises(BadParameters):
+            load(root)
 
 
 def test_missing_model_file_is_bad_parameters(tmp_path):

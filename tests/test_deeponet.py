@@ -40,6 +40,16 @@ class TestBasis:
         export = to_deeponet(identity_net(g), B=1.0)
         assert gram_defect(export) <= 1e-10
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_trunk_matrix_is_the_stack_of_trunk_functions(self, d):
+        g = Grid(d, 8)
+        export = to_deeponet(identity_net(g), B=1.0, rng=np.random.default_rng(2))
+        pts = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(11, d))
+        want = np.stack([fn(pts) for fn in export.trunk], axis=-1)
+        got = export.trunk_matrix(pts)
+        assert got.shape == (11, g.size)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
 
 class TestToDeeponet:
     def test_identity_net_reproduces_interpolant_off_grid(self):

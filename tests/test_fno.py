@@ -2,6 +2,7 @@ import re
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -379,7 +380,7 @@ class TestSerialization:
         net = identity_net(g)
         path = tmp_path / "model.psifno"
         save_model(net, path)
-        assert path.read_bytes().startswith(b"PSIFNO1")
+        assert path.read_bytes().startswith(b"PSIFNO2")
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.psifno"
@@ -450,10 +451,16 @@ class TestLoadHardening:
             load_model(path)
 
     @staticmethod
+    def _seal(raw: bytes) -> bytes:
+        """raw with its trailing checksum recomputed, so the parser sees the damage."""
+        return raw[:-4] + struct.pack("<I", zlib.crc32(raw[:-4]))
+
+    @staticmethod
     def _rewrite(raw: bytes, edit) -> bytes:
         (hlen,) = struct.unpack_from("<Q", raw, 8)
         header = edit(raw[16 : 16 + hlen])
-        return raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + hlen :]
+        return TestLoadHardening._seal(
+            raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + hlen :])
 
     @pytest.mark.parametrize("edit", [
         lambda h: b"\xff" + h[1:],                                  # not UTF-8
@@ -476,7 +483,7 @@ class TestLoadHardening:
 
     def test_header_length_past_end(self, saved):
         path, raw = saved
-        path.write_bytes(raw[:8] + struct.pack("<Q", len(raw)) + raw[16:])
+        path.write_bytes(self._seal(raw[:8] + struct.pack("<Q", len(raw)) + raw[16:]))
         with pytest.raises(BadParameters):
             load_model(path)
 
@@ -484,7 +491,7 @@ class TestLoadHardening:
         path, raw = saved
         (hlen,) = struct.unpack_from("<Q", raw, 8)
         off = 16 + hlen  # first lifting entry
-        path.write_bytes(raw[:off] + struct.pack("<d", np.nan) + raw[off + 8 :])
+        path.write_bytes(self._seal(raw[:off] + struct.pack("<d", np.nan) + raw[off + 8 :]))
         with pytest.raises(BadParameters):
             load_model(path)
 
