@@ -36,6 +36,7 @@ from .spectral import (
     _dot,
     _flux_half,
     _half_lattice,
+    _half_layout,
     _half_power,
     _half_resize,
     _irfft_values,
@@ -120,7 +121,8 @@ class PicardOperator:
     """F(u) = Pdot_N (-Lap)^-1 div(atilde_N grad u) + (-Lap)^-1 f_N.
 
     Caches the coefficient on the product grid (_product_radius) and the
-    source lift; one application costs four real FFTs.
+    source lift; F is affine, and its linear part acts on half spectra
+    (linear_half, two real FFTs).  F(0) is the lift exactly.
     """
 
     def __init__(self, atilde_N: GridField, f_N: GridField):
@@ -131,17 +133,21 @@ class PicardOperator:
         a_half = _rfft_half(atilde_N.values, g.d)
         self._atilde = _on_grid(a_half, g.d, _product_radius(g.N), g.npoints)
         self._lattice = _half_lattice(g.d, g.N)
-        self._invlap_f = _irfft_values(
-            _rfft_half(f_N.values, g.d) * self._lattice.inv_k2[..., None], g.d)
+        self.lift_half = _rfft_half(f_N.values, g.d) * self._lattice.inv_k2[..., None]
+        self._lift = _irfft_values(self.lift_half, g.d)
         self.sup_atilde = float(np.max(np.abs(_on_grid(a_half, g.d, 2 * g.N, g.npoints))))
+
+    def linear_half(self, u_half: np.ndarray) -> np.ndarray:
+        """Half spectrum of Pdot_N (-Lap)^-1 div(atilde_N grad u) from that of u, in its scale."""
+        flux = _flux_half(self._atilde, u_half, self.grid.d)
+        return (_dot(self._lattice.ik, flux) * self._lattice.inv_k2)[..., None]
 
     def apply(self, u: GridField) -> GridField:
         g = self.grid
         if u.grid != g:
             raise BadParameters(f"iterate must live at resolution {g.N}")
-        flux = _flux_half(self._atilde, _rfft_half(u.values, g.d), g.d)
-        term = _irfft_values((_dot(self._lattice.ik, flux) * self._lattice.inv_k2)[..., None], g.d)
-        return GridField(g, term + self._invlap_f)
+        return GridField(g, _irfft_values(self.linear_half(_rfft_half(u.values, g.d)), g.d)
+                         + self._lift)
 
 
 def picard_step(u: GridField, atilde_N: GridField, f_N: GridField) -> GridField:
@@ -159,11 +165,19 @@ def iteration_count(lam: float, N: int, k: int) -> int:
     return max(K, 1)
 
 
-def solve(problem: DarcyProblem) -> DarcySolution:
-    """Run the fixed-count Picard iteration from u^0 = 0.
+def solve(problem: DarcyProblem, observe=None) -> DarcySolution:
+    """Run the fixed-count Picard iteration from u^0 = 0 on the half spectrum.
+
+    The first iterate is the source lift, F(0), and each later one applies
+    the linear part once; the grid values are formed once, at the end.
+    residual_history holds the Hdot^1 norms of the K increments.  observe,
+    when given, is called with the _rfft_half of each iterate u^1..u^K on
+    the resolution-N grid; the iterates are not kept.
 
     Raises CoercivityViolation when min a < lambda/2 on the doubled grid or
-    when sup|atilde_N| >= 1 - lambda/2 (the operative contraction bound).
+    when sup|atilde_N| >= 1 - lambda/2 (the operative contraction bound),
+    and NonFiniteIterate when an increment's Hdot^1 norm is not finite: a
+    NaN/Inf iterate, or one whose squared coefficients overflow.
     """
     p = problem
     # a coarser than 2N goes through as is, for prepare_coefficients to reject
@@ -181,24 +195,31 @@ def solve(problem: DarcyProblem) -> DarcySolution:
             "the fixed-point map is not provably contractive at this resolution"
         )
     K = iteration_count(p.lam, p.N, p.k)
-    u = GridField(atilde_N.grid, np.zeros(atilde_N.grid.shape + (1,)))
+    g = atilde_N.grid
+    k2 = _half_lattice(g.d, g.N).k2
+    u_half = np.zeros_like(op.lift_half)
     history = []
-    for _ in range(K):
-        u_next = op.apply(u)
-        if not np.all(np.isfinite(u_next.values)):
-            raise NonFiniteIterate("Picard iterate became non-finite")
-        inc = GridField(u.grid, u_next.values - u.values)
-        history.append(sobolev_norm(inc, 1.0, homogeneous=True))
-        u = u_next
-    return DarcySolution(u=u, iterations=K, residual_history=tuple(history),
-                         atilde_N=atilde_N, f_N=f_N)
+    for i in range(K):
+        u_next = op.linear_half(u_half) + op.lift_half if i else op.lift_half
+        history.append(_half_norm(u_next - u_half, g.d, k2))
+        if not math.isfinite(history[-1]):
+            raise NonFiniteIterate(f"Picard increment {i + 1} has a non-finite Hdot^1 norm")
+        if observe is not None:
+            observe(u_next)
+        u_half = u_next
+    return DarcySolution(u=GridField(g, _irfft_values(u_half, g.d)), iterations=K,
+                         residual_history=tuple(history), atilde_N=atilde_N, f_N=f_N)
+
+
+def _half_norm(half: np.ndarray, d: int, weight: np.ndarray) -> float:
+    """((2pi)^d sum_k weight_k |c_k|^2)^(1/2) for the _rfft_half of a field on its own grid."""
+    return float(np.sqrt((2 * np.pi) ** d * np.sum(weight * _half_power(half, d))))
 
 
 def hminus1_norm(f: GridField) -> float:
     """Zero-mean dual norm ((2pi)^d sum_{k!=0} |c_k|^2 / |k|^2)^(1/2)."""
     g = f.grid
-    power = _half_power(_rfft_half(f.values, g.d), g.d)
-    return float(np.sqrt((2 * np.pi) ** g.d * np.sum(power * _half_lattice(g.d, g.N).inv_k2)))
+    return _half_norm(_rfft_half(f.values, g.d), g.d, _half_lattice(g.d, g.N).inv_k2)
 
 
 def galerkin_residual_norm(u: GridField, atilde_N: GridField, f_N: GridField) -> float:
@@ -214,19 +235,25 @@ def galerkin_residual_norm(u: GridField, atilde_N: GridField, f_N: GridField) ->
 def empirical_lipschitz(
     atilde_N: GridField, f_N: GridField, rng: np.random.Generator, pairs: int = 100
 ) -> float:
-    """max over random pairs of ||F(u)-F(u')||_{Hdot1} / ||u-u'||_{Hdot1}."""
+    """max over random pairs of ||F(u)-F(u')||_{Hdot1} / ||u-u'||_{Hdot1}.
+
+    F is affine, so F(u) - F(u') is its linear part applied to u - u': one
+    application per pair, on the half spectrum of the drawn coefficients
+    (the ratio does not depend on their scale).  Each pair draws u, then u',
+    with random_hermitian_coeffs, and nothing else draws from rng.
+    """
     op = PicardOperator(atilde_N, f_N)
     g = atilde_N.grid
+    k2 = _half_lattice(g.d, g.N).k2
     worst = 0.0
     for _ in range(pairs):
-        u = idft(random_hermitian_coeffs(g, rng, zero_mean=True))
-        v = idft(random_hermitian_coeffs(g, rng, zero_mean=True))
-        du = GridField(g, u.values - v.values)
-        denom = sobolev_norm(du, 1.0, homogeneous=True)
+        cu = random_hermitian_coeffs(g, rng, zero_mean=True).coeffs
+        cv = random_hermitian_coeffs(g, rng, zero_mean=True).coeffs
+        du = _half_layout(cu - cv, g.d, g.N)
+        denom = _half_norm(du, g.d, k2)
         if denom == 0.0:
             continue
-        dF = GridField(g, op.apply(u).values - op.apply(v).values)
-        worst = max(worst, sobolev_norm(dF, 1.0, homogeneous=True) / denom)
+        worst = max(worst, _half_norm(op.linear_half(du), g.d, k2) / denom)
     return worst
 
 

@@ -120,11 +120,12 @@ def _calibrate_steps(build, budget: float, sup_carry: float, sup_prod: float, er
     return _calibrate(lambda s: build(h * (s / m), h_c * (s / m)), error, target, m)[0]
 
 
-def _sup_gradient(u: GridField, M: int) -> float:
-    """max over i, m of sup|d_i u_m| on the (2M+1)^d grid, M >= u.grid.N: one transform pair."""
-    d = u.grid.d
-    grads = _rfft_half(u.values, d)[..., None] * _half_lattice(d, u.grid.N).ik[..., None, :]
-    return float(np.max(np.abs(_on_grid(grads, d, M, u.grid.npoints))))
+def _sup_gradient(u_half: np.ndarray, d: int, M: int) -> float:
+    """max over i, m of sup|d_i u_m| on the (2M+1)^d grid, from the _rfft_half of u on
+    its own grid, of radius <= M: one inverse transform."""
+    N = u_half.shape[d - 1] - 1
+    grads = u_half[..., None] * _half_lattice(d, N).ik[..., None, :]
+    return float(np.max(np.abs(_on_grid(grads, d, M, 2 * N + 1))))
 
 
 def _ball_field(grid: Grid, rng, B: float, channels: int = 1) -> GridField:
@@ -516,17 +517,17 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
         darcy_mod.random_decay_coefficient(d, 2 * N, lam, rng) for _ in range(calibration_probes)
     ]
     f_in = f if f.grid.N >= 2 * N else resample(f, 2 * N)
-    solutions = [darcy_mod.solve(darcy_mod.DarcyProblem(a, f_in, lam, k, N)) for a in probes]
     # the ranges are sampled on the finer 2N grid, so the steps calibration starts
     # from do not depend on the network grid
-    sup_a, sup_g = 0.0, 0.0
-    for sol in solutions:
-        sup_a = max(sup_a, float(np.max(np.abs(resample(sol.atilde_N, 2 * N).values))))
-        op = darcy_mod.PicardOperator(sol.atilde_N, sol.f_N)
-        u = GridField(sol.atilde_N.grid, np.zeros(sol.atilde_N.grid.shape + (1,)))
-        for _ in range(sol.iterations):
-            u = op.apply(u)
-            sup_g = max(sup_g, _sup_gradient(u, 2 * N))
+    sup_g = 0.0
+
+    def observe(u_half):
+        nonlocal sup_g
+        sup_g = max(sup_g, _sup_gradient(u_half, d, 2 * N))
+
+    solutions = [darcy_mod.solve(darcy_mod.DarcyProblem(a, f_in, lam, k, N), observe)
+                 for a in probes]
+    sup_a = max(float(np.max(np.abs(resample(sol.atilde_N, 2 * N).values))) for sol in solutions)
     sup_a = RANGE_SAFETY * max(sup_a, 0.1)
     sup_g = RANGE_SAFETY * max(sup_g, 0.1)
     bias_field_vals = resample(inverse_laplacian(solutions[0].f_N), M).values
@@ -602,7 +603,7 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
         finals.append(run.final.u)
         for st in run.states:
             sup_u = max(sup_u, float(np.max(np.abs(st.u.values))))
-            sup_g = max(sup_g, _sup_gradient(st.u, N))
+            sup_g = max(sup_g, _sup_gradient(_rfft_half(st.u.values, d), d, N))
     delta = ns.random_divergence_free(small, rng, norm=max(1e-3 * l2_norm(probes[0]), 1e-6))
     pert = GridField(small, probes[0].values + delta.values)
     run_p = ns.simulate(replace(config, U=config.U * (1 + 1e-2), u0=pert), "first")

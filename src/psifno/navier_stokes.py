@@ -215,8 +215,15 @@ _STALL_RTOL = 1e-15  # successive iterates equal to round-off: further sweeps ar
 
 
 def _iterate(op, k_iter: int) -> np.ndarray:
-    w_hat = np.zeros_like(op.base)
-    for _ in range(k_iter):
+    """k_iter sweeps of op from w = 0, stopping once a sweep is a no-op to round-off.
+
+    The first sweep from w = 0 returns op.base exactly (the advection of
+    zero is zero), so the sweeps start there; k_iter <= 0 leaves w = 0.
+    """
+    if k_iter <= 0:
+        return np.zeros_like(op.base)
+    w_hat = op.base
+    for _ in range(k_iter - 1):
         w_next = op.apply_hat(w_hat)
         delta = np.max(np.abs(w_next - w_hat))
         w_hat = w_next
@@ -226,11 +233,12 @@ def _iterate(op, k_iter: int) -> np.ndarray:
 
 
 def step_first_order(state: NsState, config: NsConfig, kappa: int | None = None) -> NsState:
-    """One outer step: kappa0 Picard sweeps of F starting from w = 0.
+    """One outer step: kappa0 Picard sweeps of F from w = 0 (see _iterate).
 
-    Sweeps stop early only when an iterate reproduces its predecessor to
-    round-off, in which case the remaining applications could not alter
-    the result.
+    The first sweep is F(0), the Helmholtz-filtered u^n, taken without an
+    advection product.  Sweeps stop early only when an iterate reproduces
+    its predecessor to round-off, in which case the remaining applications
+    could not alter the result.
     """
     _check_step_cfl(config, state.u)
     k_iter = kappa if kappa is not None else kappa0(config.T, config.tau, order=1)

@@ -6,15 +6,18 @@ FFT-based implementation paths it checks.  The reference network
 evaluator is the full-spectrum path the compiled forward replaced: it
 shares only the checked public transforms with the package.  The layer
 prober builds a layer's dense matrix one unit vector at a time, without
-assuming shift equivariance.
+assuming shift equivariance.  The two solver loops at the end are the
+solvers' first forms, which the shortcuts they took since must reproduce.
 """
 
 import numpy as np
 from scipy.signal import convolve
 
+from psifno.darcy import PicardOperator
 from psifno.fno import FnoLayer, FourierMultiplier, PsiFno, activation, layer_forward
+from psifno.navier_stokes import _STALL_RTOL
 from psifno.spectral import (Grid, GridField, SpectralCoeffs, dft, idft, random_field,
-                            resample)
+                            random_hermitian_coeffs, resample, sobolev_norm)
 
 
 def mode_list(grid: Grid) -> np.ndarray:
@@ -165,3 +168,32 @@ def small_random_net(grid, rng, d_a=1, d_v=3, d_u=1, depth=2):
     R = rng.standard_normal((d_v, d_a))
     Q = rng.standard_normal((d_u, d_v)) / d_v
     return PsiFno(grid, R, tuple(layers), Q)
+
+
+def lipschitz_two_apply(atilde_N, f_N, rng, pairs: int = 100) -> float:
+    """max over random pairs of ||F(u)-F(u')||_{Hdot1} / ||u-u'||_{Hdot1} with F
+    applied to both grid fields; the draws are those of darcy.empirical_lipschitz."""
+    op = PicardOperator(atilde_N, f_N)
+    g = atilde_N.grid
+    worst = 0.0
+    for _ in range(pairs):
+        u = idft(random_hermitian_coeffs(g, rng, zero_mean=True))
+        v = idft(random_hermitian_coeffs(g, rng, zero_mean=True))
+        denom = sobolev_norm(GridField(g, u.values - v.values), 1.0, homogeneous=True)
+        if denom == 0.0:
+            continue
+        dF = GridField(g, op.apply(u).values - op.apply(v).values)
+        worst = max(worst, sobolev_norm(dF, 1.0, homogeneous=True) / denom)
+    return worst
+
+
+def sweeps_from_zero(op, k_iter: int) -> np.ndarray:
+    """k_iter sweeps of an NS inner map from w = 0, with the round-off stall exit."""
+    w_hat = np.zeros_like(op.base)
+    for _ in range(k_iter):
+        w_next = op.apply_hat(w_hat)
+        delta = np.max(np.abs(w_next - w_hat))
+        w_hat = w_next
+        if delta <= _STALL_RTOL * max(np.max(np.abs(w_hat)), 1e-300):
+            break
+    return w_hat

@@ -17,20 +17,27 @@ from psifno.darcy import (
     solve,
     trig_coefficient,
 )
-from psifno.errors import BadParameters, CoercivityViolation, InsufficientResolution
+from psifno.errors import (
+    BadParameters,
+    CoercivityViolation,
+    InsufficientResolution,
+    NonFiniteIterate,
+)
 from psifno.spectral import (
     Grid,
     GridField,
+    _irfft_values,
     constant_field,
     field_from_function,
     idft,
     mean,
+    random_field,
     random_hermitian_coeffs,
     resample,
     sobolev_norm,
 )
 
-from helpers import rel_err
+from helpers import lipschitz_two_apply, rel_err
 
 
 def zero_mean_source(d, resolution, fn):
@@ -96,6 +103,16 @@ class TestPicardStep:
         want = field_from_function(Grid(2, 4), lambda x, y: np.cos(2 * x) / 4.0)
         assert rel_err(out.values, want.values) < 1e-12
 
+    def test_zero_field_maps_to_the_source_lift_exactly(self):
+        # solve takes the lift as its first iterate without applying F
+        rng = np.random.default_rng(9)
+        a = random_decay_coefficient(2, 8, 0.5, rng)
+        f = field_from_function(Grid(2, 8), lambda x, y: np.sin(x) + np.cos(2 * y))
+        atilde, f_N = prepare_coefficients(a, f, 4)
+        op = PicardOperator(atilde, f_N)
+        out = op.apply(GridField(Grid(2, 4), np.zeros((9, 9, 1))))
+        assert np.array_equal(out.values, _irfft_values(op.lift_half, 2))
+
     def test_zero_mean_output(self):
         rng = np.random.default_rng(1)
         a = random_decay_coefficient(2, 8, 0.5, rng)
@@ -115,6 +132,21 @@ class TestPicardStep:
         sup_true = 0.5  # sup |0.5 sin| on the continuum
         ratio = empirical_lipschitz(atilde, f_N, rng, pairs=100)
         assert ratio <= sup_true + 1e-8
+
+
+class TestEmpiricalLipschitz:
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 8), (2, 13), (3, 3)])
+    def test_matches_the_two_apply_estimate(self, d, N):
+        rng = np.random.default_rng(30 + N)
+        a = random_decay_coefficient(d, 2 * N, 0.5, rng)
+        f = random_field(Grid(d, 2 * N), rng, zero_mean=True)
+        atilde, f_N = prepare_coefficients(a, f, N)
+        got_rng, want_rng = np.random.default_rng(N), np.random.default_rng(N)
+        got = empirical_lipschitz(atilde, f_N, got_rng, pairs=10)
+        want = lipschitz_two_apply(atilde, f_N, want_rng, pairs=10)
+        assert abs(got - want) <= 1e-12 * want
+        # callers keep drawing from the rng after the estimate
+        assert got_rng.standard_normal() == want_rng.standard_normal()
 
 
 class TestIterationCount:
@@ -177,6 +209,28 @@ class TestSolve:
         hist = np.array(sol.residual_history)
         ratios = hist[2:] / hist[1:-1]
         assert np.all(ratios <= (1 - 0.25) + 1e-8)
+
+    def test_observer_sees_every_iterate(self):
+        rng = np.random.default_rng(8)
+        a = random_decay_coefficient(2, 16, 0.5, rng)
+        f = field_from_function(Grid(2, 16), lambda x, y: np.cos(x) + np.sin(2 * y))
+        seen = []
+        sol = solve(DarcyProblem(a, f, lam=0.5, k=1, N=8), seen.append)
+        assert len(seen) == sol.iterations
+        assert np.array_equal(_irfft_values(seen[-1], 2), sol.u.values)
+        op = PicardOperator(sol.atilde_N, sol.f_N)
+        u = GridField(sol.u.grid, np.zeros_like(sol.u.values))
+        for half in seen:
+            u = op.apply(u)
+            assert rel_err(_irfft_values(half, 2), u.values) < 1e-12
+
+    def test_overflowing_iterate_raises(self):
+        # a source near the largest one prepare_coefficients transforms: the
+        # increments' squared coefficients overflow on the first iterate
+        g = Grid(2, 8)
+        f = field_from_function(g, lambda x, y: 1e305 * np.cos(x))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate):
+            solve(DarcyProblem(trig_coefficient(2, 8), f, lam=0.5, k=1, N=4))
 
     def test_coercivity_violation_raised(self):
         g = Grid(2, 8)

@@ -43,7 +43,7 @@ from psifno.spectral import (
     resample,
 )
 
-from helpers import convolution_truncated, naive_dft, naive_idft, rel_err
+from helpers import convolution_truncated, naive_dft, naive_idft, rel_err, sweeps_from_zero
 
 
 def _stack(fields) -> GridField:
@@ -157,6 +157,95 @@ class TestHalfSpectrumSolvers:
         assert rel_err(got.values, resample(advection_oracle(v, w), 2 * N).values) < 1e-12
 
 
+def _inner_map(order, seed=0):
+    """An inner map on random divergence-free data (advection that Leray does not kill)."""
+    rng = np.random.default_rng(seed)
+    u_prev, u = (random_divergence_free(Grid(2, 6), rng, norm=0.5) for _ in range(2))
+    v = u if order == 1 else GridField(u.grid, 1.5 * u.values - 0.5 * u_prev.values)
+    return ns._InnerMap(u, v, 0.05, 0.01, order)
+
+
+class TestSkippedWork:
+    """The solvers skip applications whose result is known; these pin that the
+    skipped results are exact, bit for bit."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_inner_map_of_zero_is_its_base(self, order):
+        op = _inner_map(order)
+        assert np.array_equal(op.apply_hat(np.zeros_like(op.base)), op.base)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("k_iter", [0, 1, 2, 5, 40])
+    def test_iterate_is_the_sweeps_from_zero(self, order, k_iter):
+        op = _inner_map(order, seed=10 + k_iter)
+        assert np.array_equal(ns._iterate(op, k_iter), sweeps_from_zero(op, k_iter))
+
+    def test_iterate_of_a_zero_state_stalls_at_zero(self):
+        zero = GridField(Grid(2, 4), np.zeros((9, 9, 2)))
+        op = ns._InnerMap(zero, zero, 0.05, 0.01, 1)
+        assert np.array_equal(ns._iterate(op, 5), sweeps_from_zero(op, 5))
+        assert not np.any(ns._iterate(op, 5))
+
+    def test_no_sweeps_leave_the_zero_field(self):
+        u0 = random_divergence_free(Grid(2, 6), np.random.default_rng(3), norm=0.5)
+        got = step_first_order(NsState(0, u0, l2_norm(u0)), ns_config(2, 6, u0), kappa=0)
+        assert not np.any(got.u.values) and got.energy == 0.0
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """count(fn, *args): the calls of the real transform pair that fn(*args) makes,
+    counted in every module that binds the pair."""
+    names = ("_rfft_half", "_irfft_values")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        kernel = getattr(spectral, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            counts[_name] += 1
+            return _kernel(*args)
+
+        for module in (spectral, darcy, ns):
+            monkeypatch.setattr(module, name, counted)
+
+    def count(fn, *args, **kwargs):
+        counts.update(dict.fromkeys(names, 0))
+        fn(*args, **kwargs)
+        return dict(counts)
+
+    return count
+
+
+class TestTransformBudget:
+    """Exact transform counts of the solvers, so that a grid round trip or a
+    sweep from zero put back into a loop fails here."""
+
+    def test_darcy_solve(self, count_transforms):
+        a = random_decay_coefficient(2, 16, 0.5, np.random.default_rng(1))
+        f = random_field(Grid(2, 16), np.random.default_rng(2), zero_mean=True)
+        K = darcy.iteration_count(0.5, 8, 2)
+        got = count_transforms(darcy.solve, darcy.DarcyProblem(a, f, 0.5, 2, 8))
+        # prepare: a forward and an inverse per field; the operator: the coefficient,
+        # its product-grid and doubled-grid values, the lift and its grid values;
+        # K - 1 linear parts of one pair each; the solution's grid values
+        assert got == {"_rfft_half": 2 + 2 + (K - 1), "_irfft_values": 2 + 3 + (K - 1) + 1}
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_ns_step(self, count_transforms, order):
+        rng = np.random.default_rng(5)
+        u_prev, u = (random_divergence_free(Grid(2, 6), rng, norm=0.5) for _ in range(2))
+        cfg, kappa = ns_config(2, 6, u), 4
+        prev, cur = NsState(0, u_prev, l2_norm(u_prev)), NsState(1, u, l2_norm(u))
+        if order == 1:
+            got = count_transforms(step_first_order, cur, cfg, kappa=kappa)
+        else:
+            got = count_transforms(step_second_order, prev, cur, cfg, kappa=kappa)
+        # set-up: v forward and onto the product grid, u^n forward, and for order 2
+        # one advection pair in the base; kappa - 1 sweeps of one pair; the new state
+        assert got == {"_rfft_half": 2 + (order - 1) + (kappa - 1),
+                       "_irfft_values": 1 + (order - 1) + (kappa - 1) + 1}
+
+
 def _seven_smooth(n: int) -> bool:
     for p in (3, 5, 7):
         while n % p == 0:
@@ -223,7 +312,8 @@ class TestNoComplexSolverPath:
         emulation.build_ns_emulator, spectral.derivative, spectral.gradient,
         spectral.divergence, spectral.inverse_laplacian, spectral.helmholtz_inverse,
         spectral.dealiased_product, spectral.resample, spectral.leray_project,
-        spectral.sobolev_norm, darcy._restrict, darcy.prepare_coefficients,
+        spectral.sobolev_norm, darcy._restrict, darcy.prepare_coefficients, darcy.solve,
+        darcy.empirical_lipschitz,
     ], ids=lambda fn: f"{fn.__module__}.{fn.__name__}")
     def test_function_names_no_centered_round_trip(self, fn):
         assert not _names(fn.__code__) & set(self.CENTERED)
