@@ -37,7 +37,7 @@ from .spectral import (
     _flux_half,
     _half_lattice,
     _half_layout,
-    _half_power,
+    _half_norm,
     _half_resize,
     _irfft_values,
     _on_grid,
@@ -209,11 +209,6 @@ def solve(problem: DarcyProblem, observe=None) -> DarcySolution:
         u_half = u_next
     return DarcySolution(u=GridField(g, _irfft_values(u_half, g.d)), iterations=K,
                          residual_history=tuple(history), atilde_N=atilde_N, f_N=f_N)
-
-
-def _half_norm(half: np.ndarray, d: int, weight: np.ndarray) -> float:
-    """((2pi)^d sum_k weight_k |c_k|^2)^(1/2) for the _rfft_half of a field on its own grid."""
-    return float(np.sqrt((2 * np.pi) ** d * np.sum(weight * _half_power(half, d))))
 
 
 def hminus1_norm(f: GridField) -> float:

@@ -23,6 +23,11 @@ Helmholtz and Leray projections) is carried by unactivated multiplier
 layers; `strictify` rewrites those through psi_h so every layer of the
 result applies the activation.
 
+Both gadgets read the unit pair sigma(x0 +- h y): every network writes it
+through one encoder, `_sq_units` (`_product_units` for the three pairs of
+a product), and reads it back through one decoder per gadget,
+`_sq_decode` (combine weights and constant) or `_psi_decode` (the scale).
+
 Solver emulators replay the fixed-point algorithms block by block: the
 Darcy network stacks K copies of [gradient F-layer; product sigma-layer;
 combine/update F-layer with the lifted source as bias], and the
@@ -30,10 +35,10 @@ Navier-Stokes network stacks n_T * kappa0 advection blocks of the same
 shape.  Widths grow like N^d through the grid, depths like the iteration
 counts; lifts stay constant.  Three assemblers build every block:
 `_feed_layer` (channel copies and gradients under a mode mask),
-`_sigma_layer` (six sq_h rows per product, two psi_h rows per carried
-channel) and `_product_sums` (the combine rows).  The nonlinearity
-networks P_N(a grad u) and PL_N(u . grad w) are one such block without
-the carry or the update.
+`_sigma_layer` (the encoder's units of each product, one psi_h pair per
+carried channel) and `_product_sums` (combine rows from the sq_h
+decoder).  The nonlinearity networks P_N(a grad u) and PL_N(u . grad w)
+are one such block without the carry or the update.
 """
 
 from __future__ import annotations
@@ -135,6 +140,42 @@ def _ball_field(grid: Grid, rng, B: float, channels: int = 1) -> GridField:
 
 
 # ---------------------------------------------------------------------------
+# The gadget: one encoder for the unit pairs, one decoder per gadget
+# ---------------------------------------------------------------------------
+
+
+def _sq_units(W: np.ndarray, bias: np.ndarray, row: int, cols, h: float, shift=0.0, x0=X0):
+    """Rows row, row + 1 as sigma(x0 +- h (sum of v_col over cols + shift)), the unit
+    pair both gadgets read; shift may vary over the leading axes of bias."""
+    for col in cols:
+        W[row, col] += h
+        W[row + 1, col] -= h
+    bias[..., row] = x0 + h * shift
+    bias[..., row + 1] = x0 - h * shift
+
+
+def _product_units(W: np.ndarray, bias: np.ndarray, row: int, col_a: int, col_b: int,
+                   h: float, x0=X0):
+    """Six sq_h units from row for v_a * v_b: the pairs of a + b, a and b (_SQ_SIGNS order)."""
+    for r, cols in ((0, (col_a, col_b)), (2, (col_a,)), (4, (col_b,))):
+        _sq_units(W, bias, row + r, cols, h, x0=x0)
+
+
+def _sq_decode(h: float, act=_SIGMA, x0=X0) -> tuple:
+    """(weights, const): weights . (six product units) + const = v_a * v_b + O(h^2).
+
+    The constant 2 sigma(x0) / denom per product goes to a bias, or is dropped
+    under a multiplier that vanishes at k = 0."""
+    denom = 2.0 * h * h * act.d2(x0)
+    return _SQ_SIGNS / denom, 2.0 * act(x0) / denom
+
+
+def _psi_decode(h: float, act=_SIGMA) -> float:
+    """s with s * (sigma(X0_ID + h y) - sigma(X0_ID - h y)) = y + O(h^2)."""
+    return 1.0 / (2.0 * h * act.d1(X0_ID))
+
+
+# ---------------------------------------------------------------------------
 # Ordinary (pointwise) networks
 # ---------------------------------------------------------------------------
 
@@ -170,15 +211,12 @@ class ProductNetSpec:
 
     B: float
     eps: float
-    h: float = 0.5
     x0: float = 1.0
     activation: str = "tanh"
 
     def __post_init__(self):
         if self.B <= 0 or self.eps <= 0:
             raise BadParameters("bound and accuracy must be positive")
-        if not 0 < self.h <= 1:
-            raise BadParameters(f"step parameter must lie in (0, 1], got {self.h}")
         if abs(activation(self.activation).d2(self.x0)) < 1e-3:
             raise BadParameters(
                 f"sigma''({self.x0}) is too close to zero for the quadratic gadget"
@@ -186,14 +224,10 @@ class ProductNetSpec:
 
 
 def _product_net(h: float, spec: ProductNetSpec) -> DenseNet:
-    act = activation(spec.activation)
-    x0 = spec.x0
-    A1 = np.zeros((6, 2))
-    _product_rows(A1, 0, 0, 1, h)
-    denom = 2.0 * h * h * act.d2(x0)
-    A2 = _product_sums([[0]], denom, 6)
-    b2 = np.array([2.0 * act(x0) / denom])
-    return DenseNet(((A1, np.full(6, x0), True), (A2, b2, False)), spec.activation)
+    A1, b1 = np.zeros((6, 2)), np.zeros(6)
+    _product_units(A1, b1, 0, 0, 1, h, spec.x0)
+    weights, const = _sq_decode(h, activation(spec.activation), spec.x0)
+    return DenseNet(((A1, b1, True), (weights[None], np.array([const]), False)), spec.activation)
 
 
 def build_product_net(spec: ProductNetSpec) -> DenseNet:
@@ -209,7 +243,7 @@ def build_product_net(spec: ProductNetSpec) -> DenseNet:
     net, _ = _calibrate(
         lambda h: _product_net(h, spec),
         lambda net: float(np.max(np.abs(net(probes)[:, 0] - target))),
-        spec.eps, spec.h,
+        spec.eps, H0,
     )
     return net
 
@@ -234,46 +268,32 @@ class AffineApproxSpec:
 def _affine_approx_net(h: float, spec: AffineApproxSpec) -> PsiFno:
     """Depth-1 network psi_h(target): activated layer + recombining projection."""
     target = spec.layer
-    act = activation(spec.activation)
     d_v = target.d_v
     D = 2 * d_v
     grid = spec.grid
 
-    W = np.zeros((D, D))
-    if target.weight is not None:
-        W[:d_v, :d_v] = h * target.weight
-        W[d_v:, :d_v] = -h * target.weight
-    bias_top = np.full(d_v, X0_ID)
-    bias_bot = np.full(d_v, X0_ID)
-    bias = None
-    if isinstance(target.bias, GridField):
-        vals = np.empty(grid.shape + (D,))
-        vals[..., :d_v] = X0_ID + h * target.bias.values
-        vals[..., d_v:] = X0_ID - h * target.bias.values
-        bias = GridField(grid, vals)
-    else:
-        if target.bias is not None:
-            bias_top = X0_ID + h * np.asarray(target.bias)
-            bias_bot = X0_ID - h * np.asarray(target.bias)
-        bias = np.concatenate([bias_top, bias_bot])
+    def pm(block, dtype=float) -> np.ndarray:
+        """(D, D): h * block over -h * block in the first d_v columns, the rest zero."""
+        out = np.zeros((D, D), dtype)
+        out[:d_v, :d_v] = h * block
+        out[d_v:, :d_v] = -h * block
+        return out
+
+    W = np.zeros((D, D)) if target.weight is None else pm(target.weight)
+    field = isinstance(target.bias, GridField)
+    b = target.bias.values if field else target.bias
+    b = np.zeros(d_v) if b is None else np.asarray(b)
+    bias = np.concatenate([X0_ID + h * b, X0_ID - h * b], axis=-1)
     mult = None
     if target.multiplier is not None:
-        terms = []
-        for s, A in target.multiplier.terms:
-            A2 = np.zeros((D, D), dtype=complex)
-            A2[:d_v, :d_v] = h * A
-            A2[d_v:, :d_v] = -h * A
-            terms.append((s, A2))
+        terms = [(s, pm(A, complex)) for s, A in target.multiplier.terms]
         mult = FourierMultiplier(grid.d, target.multiplier.mode_radius, terms, D, check=False)
-    layer = FnoLayer(D, W, bias, mult, apply_activation=True)
+    layer = FnoLayer(D, W, GridField(grid, bias) if field else bias, mult, apply_activation=True)
 
-    R = np.zeros((D, d_v))
-    R[:d_v, :] = np.eye(d_v)
-    Q = np.zeros((d_v, D))
-    scale = 1.0 / (2.0 * h * act.d1(X0_ID))
-    Q[:, :d_v] = scale * np.eye(d_v)
-    Q[:, d_v:] = -scale * np.eye(d_v)
-    return PsiFno(grid, R, (layer,), Q, spec.activation, meta={"h": h, "kind": "affine-approx"})
+    scale = _psi_decode(h, activation(spec.activation))
+    Q = np.concatenate([scale * np.eye(d_v), -scale * np.eye(d_v)], axis=1)
+    return PsiFno(grid, np.eye(D, d_v), (layer,), Q, spec.activation,
+                  meta={"h": h, "kind": "affine-approx"})
 
 
 def build_affine_approx(spec: AffineApproxSpec, rng=None) -> PsiFno:
@@ -300,18 +320,6 @@ def _mask(grid: Grid, radius: int, zero_mean: bool) -> np.ndarray:
     return truncation_mask(grid, radius, zero_mean).astype(complex)
 
 
-def _product_rows(W: np.ndarray, row0: int, col_a: int, col_b: int, h: float):
-    """Six sq_h feeder rows for one product, written into W starting at row0."""
-    W[row0 + 0, col_a] += h
-    W[row0 + 0, col_b] += h
-    W[row0 + 1, col_a] -= h
-    W[row0 + 1, col_b] -= h
-    W[row0 + 2, col_a] += h
-    W[row0 + 3, col_a] -= h
-    W[row0 + 4, col_b] += h
-    W[row0 + 5, col_b] -= h
-
-
 def _feed_layer(grid: Grid, D: int, mask: np.ndarray, copies, grads) -> FnoLayer:
     """Unactivated F-layer: row <- mask * col for each (row, col) in copies,
     row <- mask * d(col)/dx_axis for each (row, col, axis) in grads."""
@@ -328,39 +336,26 @@ def _feed_layer(grid: Grid, D: int, mask: np.ndarray, copies, grads) -> FnoLayer
 
 
 def _sigma_layer(D: int, products, carries, h: float, h_c: float = 0.0) -> FnoLayer:
-    """Activated layer: six sq_h rows at 6p (bias X0) for the p-th product
-    (col_a, col_b), then two psi_h rows (step h_c, bias X0_ID) per carried channel."""
+    """Activated layer: six sq_h units at 6p for the p-th product (col_a, col_b),
+    then one psi_h pair (step h_c, at X0_ID) per carried channel."""
     W = np.zeros((D, D))
     b = np.zeros(D)
     for p, (col_a, col_b) in enumerate(products):
-        _product_rows(W, 6 * p, col_a, col_b, h)
-        b[6 * p : 6 * p + 6] = X0
-    r0 = 6 * len(products)
+        _product_units(W, b, 6 * p, col_a, col_b, h)
     for q, col in enumerate(carries):
-        W[r0 + 2 * q, col] = h_c
-        W[r0 + 2 * q + 1, col] = -h_c
-        b[r0 + 2 * q : r0 + 2 * q + 2] = X0_ID
+        _sq_units(W, b, 6 * len(products) + 2 * q, (col,), h_c, x0=X0_ID)
     return FnoLayer(D, W, b, None, True)
 
 
-def _product_sums(groups, denom: float, D: int) -> np.ndarray:
-    """One combine row per group: the sum of its products p, each rebuilt from the
-    six sq_h units at 6p.  The constant 2 sigma(x0) / denom per product is left
-    to the caller's bias (or to a multiplier that vanishes at k = 0)."""
+def _product_sums(groups, weights: np.ndarray, D: int) -> np.ndarray:
+    """One combine row per group: the sum of its products p, each decoded from the
+    six sq_h units at 6p by the _sq_decode weights.  The constant per product is
+    left to the caller's bias (or to a multiplier that vanishes at k = 0)."""
     rows = np.zeros((len(groups), D))
     for g, group in enumerate(groups):
         for p in group:
-            rows[g, 6 * p : 6 * p + 6] = _SQ_SIGNS / denom
+            rows[g, 6 * p : 6 * p + 6] = weights
     return rows
-
-
-def _sq_feed(W: np.ndarray, bias: np.ndarray, row: int, col, h: float, shift=0.0):
-    """Rows row, row + 1 as sigma(X0 +- h (v_col + shift)); col None reads no channel."""
-    if col is not None:
-        W[row, col] = h
-        W[row + 1, col] = -h
-    bias[..., row] = X0 + h * shift
-    bias[..., row + 1] = X0 - h * shift
 
 
 def _leray_terms(grid: Grid, scale: np.ndarray, row0: int, rows: np.ndarray) -> list:
@@ -379,10 +374,10 @@ def _leray_terms(grid: Grid, scale: np.ndarray, row0: int, rows: np.ndarray) -> 
 
 
 def _psi_combine(row0: int, h: float, D: int) -> np.ndarray:
-    d1 = _SIGMA.d1(X0_ID)
+    """Combine row decoding the psi_h pair at row0."""
     row = np.zeros(D)
-    row[row0] = 1.0 / (2.0 * h * d1)
-    row[row0 + 1] = -1.0 / (2.0 * h * d1)
+    row[row0] = _psi_decode(h)
+    row[row0 + 1] = -row[row0]
     return row
 
 
@@ -398,11 +393,11 @@ def _darcy_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     # (a, u) -> (a, du/dx_i) -> sq_h units of a * du/dx_i -> P_N(a grad u)_i in channel i
     L1 = _feed_layer(grid, D, mask, [(0, 0)], [(1 + i, 1, i) for i in range(d)])
     L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], (), h)
-    denom = 2.0 * h * h * _SIGMA.d2(X0)
+    weights, const = _sq_decode(h)
     C = np.zeros((D, D))
-    C[:d] = _product_sums([[i] for i in range(d)], denom, D)
+    C[:d] = _product_sums([[i] for i in range(d)], weights, D)
     bias3 = np.zeros(D)
-    bias3[:d] = 2.0 * _SIGMA(X0) / denom
+    bias3[:d] = const
     L3 = FnoLayer(D, None, bias3, FourierMultiplier(d, grid.N, [(mask, C)], D, check=False), False)
     return PsiFno(grid, np.eye(D, 2), (L1, L2, L3), np.eye(d, D), _SIGMA.name,
                   meta={"h": h, "kind": "darcy-nonlinearity"})
@@ -454,9 +449,8 @@ def _ns_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     L2 = _sigma_layer(D, [(i, d + i * d + m) for i, m in pairs], (), h)
 
     # F-layer: Leray-truncated combine of adv_m = sum_i u_i dw_m/dx_i
-    denom = 2.0 * h * h * _SIGMA.d2(X0)
     C = np.zeros((D, D))
-    C[:d] = _product_sums([[i * d + m for i in range(d)] for m in range(d)], denom, D)
+    C[:d] = _product_sums([[i * d + m for i in range(d)] for m in range(d)], _sq_decode(h)[0], D)
     terms3 = [(mask_dot, C)] + _leray_terms(grid, -mask_dot, 0, C[:d])
     L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
     return PsiFno(grid, np.eye(D, 2 * d), (L1, L2, L3), np.eye(d, D), _SIGMA.name,
@@ -544,11 +538,10 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
         L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], [0], h, h_c)
 
         # block layer 3: atilde carry + u update with the lifted source bias
-        denom = 2.0 * h * h * _SIGMA.d2(X0)
         A_carry = np.zeros((D, D))
         A_carry[0] = _psi_combine(6 * d, h_c, D)
         terms3 = [(mask_dot, A_carry)]
-        for i, row in enumerate(_product_sums([[p] for p in range(d)], denom, D)):
+        for i, row in enumerate(_product_sums([[p] for p in range(d)], _sq_decode(h)[0], D)):
             A_i = np.zeros((D, D))
             A_i[1] = row
             terms3.append(((lat.ik[..., i] * lat.inv_k2) * mask_dot, A_i))
@@ -628,9 +621,8 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
     def build(h: float, h_c: float) -> PsiFno:
         # sigma-layer: products u_i * g_{i,m} plus psi carry of u
         L2 = _sigma_layer(D, [(i, row) for row, _, i in grads], range(d), h, h_c)
-        denom = 2.0 * h * h * _SIGMA.d2(X0)
         carry = np.array([_psi_combine(6 * d * d + 2 * c, h_c, D) for c in range(d)])
-        adv = _product_sums([[i * d + m for i in range(d)] for m in range(d)], denom, D)
+        adv = _product_sums([[i * d + m for i in range(d)] for m in range(d)], _sq_decode(h)[0], D)
 
         # F-layer: u rows get the carried u, w rows get F(w)
         A_u = np.zeros((D, D))
@@ -686,21 +678,20 @@ def _ft_net(N: int, d: int, h: float) -> PsiFno:
     bias_vals = np.zeros(grid.shape + (D,))
     for t in range(K):
         for r, trig in ((8 * t, cosf[t]), (8 * t + 4, sinf[t])):
-            _sq_feed(W1, bias_vals, r, 0, h, trig)          # sq_h(v + trig)
-            _sq_feed(W1, bias_vals, r + 2, None, h, trig)   # sq_h(trig)
-    _sq_feed(W1, bias_vals, 8 * K, 0, h)                    # shared sq_h(v)
+            _sq_units(W1, bias_vals, r, (0,), h, trig)    # sq_h(v + trig)
+            _sq_units(W1, bias_vals, r + 2, (), h, trig)  # sq_h(trig)
+    _sq_units(W1, bias_vals, 8 * K, (0,), h)              # shared sq_h(v)
     L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
 
     # zero-mode multiplier: averaging the products gives Re / -Im
-    denom = 2.0 * h * h * _SIGMA.d2(X0)
+    weights, const = _sq_decode(h)
     C = np.zeros((D, D))
     bias2 = np.zeros(D)
-    const = 2.0 * _SIGMA(X0) / denom
     for t in range(K):
         r = 8 * t
         # Re(v_k) = mean( v cos<k,x> ),  Im(v_k) = -mean( v sin<k,x> )
-        C[2 * t, [r, r + 1, r + 2, r + 3, 8 * K, 8 * K + 1]] = _SQ_SIGNS / denom
-        C[2 * t + 1, [r + 4, r + 5, r + 6, r + 7, 8 * K, 8 * K + 1]] = -_SQ_SIGNS / denom
+        C[2 * t, [r, r + 1, r + 2, r + 3, 8 * K, 8 * K + 1]] = weights
+        C[2 * t + 1, [r + 4, r + 5, r + 6, r + 7, 8 * K, 8 * K + 1]] = -weights
         bias2[2 * t] = const
         bias2[2 * t + 1] = -const
     L2 = FnoLayer(
@@ -709,11 +700,7 @@ def _ft_net(N: int, d: int, h: float) -> PsiFno:
         False,
     )
 
-    R = np.zeros((D, 1))
-    R[0, 0] = 1.0
-    Q = np.zeros((2 * K, D))
-    Q[:, : 2 * K] = np.eye(2 * K)
-    return PsiFno(grid, R, (L1, L2), Q, _SIGMA.name,
+    return PsiFno(grid, np.eye(D, 1), (L1, L2), np.eye(2 * K, D), _SIGMA.name,
                   meta={"h": h, "kind": "ft-emulator", "modes": ks.tolist()})
 
 
@@ -762,26 +749,22 @@ def _ift_net(N: int, d: int, h: float) -> PsiFno:
     for t in range(K):
         for ell, trig in ((0, cosf[t]), (1, sinf[t])):
             r, col = 12 * t + 6 * ell, 2 * t + ell
-            _sq_feed(W1, bias_vals, r, col, h, trig)         # sq_h(w + trig)
-            _sq_feed(W1, bias_vals, r + 2, col, h)           # sq_h(w)
-            _sq_feed(W1, bias_vals, r + 4, None, h, trig)    # sq_h(trig)
+            _sq_units(W1, bias_vals, r, (col,), h, trig)   # sq_h(w + trig)
+            _sq_units(W1, bias_vals, r + 2, (col,), h)     # sq_h(w)
+            _sq_units(W1, bias_vals, r + 4, (), h, trig)   # sq_h(trig)
     L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
 
-    denom = 2.0 * h * h * _SIGMA.d2(X0)
+    weights, const = _sq_decode(h)
     combine = np.zeros((D, D))
-    const = 0.0
+    total = 0.0
     for t in range(K):
         for ell, sign in ((0, 1.0), (1, -1.0)):  # v = sum_k Re_k cos - Im_k sin
             r = 12 * t + 6 * ell
-            combine[0, r : r + 6] += sign * _SQ_SIGNS / denom
-            const += sign * 2.0 * _SIGMA(X0) / denom
-    L2 = FnoLayer(D, combine, np.concatenate([[const], np.zeros(D - 1)]), None, False)
+            combine[0, r : r + 6] += sign * weights
+            total += sign * const
+    L2 = FnoLayer(D, combine, np.concatenate([[total], np.zeros(D - 1)]), None, False)
 
-    R = np.zeros((D, 2 * K))
-    R[: 2 * K, :] = np.eye(2 * K)
-    Q = np.zeros((1, D))
-    Q[0, 0] = 1.0
-    return PsiFno(grid, R, (L1, L2), Q, _SIGMA.name,
+    return PsiFno(grid, np.eye(D, 2 * K), (L1, L2), np.eye(1, D), _SIGMA.name,
                   meta={"h": h, "kind": "ift-emulator", "modes": ks.tolist()})
 
 

@@ -42,7 +42,7 @@ from .spectral import (
     GridField,
     _advection_half,
     _half_lattice,
-    _half_power,
+    _half_norm,
     _irfft_values,
     _on_grid,
     _product_radius,
@@ -182,10 +182,6 @@ class _InnerMap:
         return self.base - self._scale * self._adv.apply_hat(w_hat)
 
 
-def _energy_hat(half: np.ndarray, d: int) -> float:
-    return float(np.sqrt((2 * np.pi) ** d * np.sum(_half_power(half, d))))
-
-
 def picard_map_first(w: GridField, u_n: GridField, nu: float, tau: float) -> GridField:
     """Single application of the first-order inner map F to w."""
     if w.grid != u_n.grid:
@@ -208,7 +204,8 @@ def _finish_step(state: NsState, w_hat) -> NsState:
     if not np.all(np.isfinite(w_hat)):
         raise NonFiniteState(f"state became non-finite after step {state.step}")
     g = state.u.grid
-    return NsState(state.step + 1, GridField(g, _irfft_values(w_hat, g.d)), _energy_hat(w_hat, g.d))
+    return NsState(state.step + 1, GridField(g, _irfft_values(w_hat, g.d)),
+                   _half_norm(w_hat, g.d, 1.0))
 
 
 _STALL_RTOL = 1e-15  # successive iterates equal to round-off: further sweeps are no-ops
@@ -355,5 +352,5 @@ def inner_iterate_errors(state: NsState, config: NsConfig, kappa_ref: int = 60):
     iterates = [np.zeros_like(op.base)]
     for _ in range(max(kappa_ref, k_iter)):
         iterates.append(op.apply_hat(iterates[-1]))
-    errs = [_energy_hat(iterates[-1] - w, config.d) for w in iterates[: k_iter + 1]]
+    errs = [_half_norm(iterates[-1] - w, config.d, 1.0) for w in iterates[: k_iter + 1]]
     return errs, l2_norm(state.u)

@@ -384,6 +384,11 @@ def _half_power(half: np.ndarray, d: int) -> np.ndarray:
     return power * (weight / float(2 * half.shape[d - 1] - 1) ** (2 * d))
 
 
+def _half_norm(half: np.ndarray, d: int, weight) -> float:
+    """((2pi)^d sum_k weight_k |c_k|^2)^(1/2) for the _rfft_half of a field on its own grid."""
+    return float(np.sqrt((2 * np.pi) ** d * np.sum(weight * _half_power(half, d))))
+
+
 def truncation_mask(grid: Grid, M: int, zero_mean: bool = False) -> np.ndarray:
     """Indicator of |k|_inf <= M (optionally excluding k=0) on the centered lattice."""
     mask = np.ones(grid.shape, dtype=bool)
@@ -506,14 +511,9 @@ def sobolev_norm(f: GridField, idx: "SobolevIndex | float", homogeneous: bool = 
     if not isinstance(idx, SobolevIndex):
         idx = SobolevIndex(float(idx), homogeneous)
     g = f.grid
-    power = _half_power(_rfft_half(f.values, g.d), g.d)
     k2 = _half_lattice(g.d, g.N).k2
-    vol = (2.0 * np.pi) ** g.d
-    if idx.homogeneous:
-        w = np.where(k2 > 0, k2**idx.s, 0.0)
-        return float(np.sqrt(vol * np.sum(w * power)))
-    w = 1.0 + k2**idx.s
-    return float(np.sqrt(0.5 * vol * np.sum(w * power)))
+    w = np.where(k2 > 0, k2**idx.s, 0.0) if idx.homogeneous else 0.5 * (1.0 + k2**idx.s)
+    return _half_norm(_rfft_half(f.values, g.d), g.d, w)
 
 
 def l2_norm(f: GridField) -> float:

@@ -6,10 +6,16 @@ from psifno import navier_stokes as ns
 from psifno.emulation import (
     H0,
     H_MIN,
+    X0,
+    X0_ID,
     AffineApproxSpec,
     _calibrate,
     _calibrate_steps,
     _probe_error,
+    _product_units,
+    _psi_decode,
+    _sq_decode,
+    _sq_units,
     ProductNetSpec,
     build_affine_approx,
     build_darcy_emulator,
@@ -25,7 +31,9 @@ from psifno.emulation import (
     strictify,
 )
 from psifno.errors import BadParameters, CalibrationFailed
-from psifno.fno import FnoLayer, FourierMultiplier, PsiFno, compose, fno_forward, size_report
+from psifno.fno import (
+    FnoLayer, FourierMultiplier, PsiFno, activation, compose, fno_forward, size_report,
+)
 from psifno.spectral import (
     Grid,
     GridField,
@@ -130,6 +138,109 @@ class TestProbeError:
         identity = PsiFno(g, np.eye(2), (), np.eye(2))
         inputs = [unit_ball_field(g, rng, channels=2) for _ in range(3)]
         assert _probe_error(inputs, inputs)(identity) == 0.0
+
+
+STEPS = (0.1, 0.05, 0.025, 0.0125)
+
+
+class TestGadget:
+    """The unit-pair encoder and the sq_h / psi_h decoders on their own."""
+
+    XS = np.linspace(-1.5, 1.5, 31)
+
+    @staticmethod
+    def decoded_product(ab, h, act, x0):
+        """v_a * v_b decoded from the six _product_units, for each row (a, b) of ab."""
+        W, bias = np.zeros((6, 2)), np.zeros(6)
+        _product_units(W, bias, 0, 0, 1, h, x0)
+        weights, const = _sq_decode(h, act, x0)
+        return act(ab @ W.T + bias) @ weights + const
+
+    @staticmethod
+    def assert_second_order(errs):
+        """Errors over STEPS fall about 4x per halving of h: O(h^2)."""
+        ratios = [errs[j] / errs[j + 1] for j in range(len(errs) - 1)]
+        assert all(3.5 < r < 4.5 for r in ratios), ratios
+
+    @pytest.mark.parametrize("name", ["tanh", "gelu"])
+    @pytest.mark.parametrize("x0", [X0, 0.7])
+    def test_product_error_is_second_order(self, name, x0):
+        A, B = np.meshgrid(self.XS, self.XS, indexing="ij")
+        ab = np.stack([A.ravel(), B.ravel()], axis=-1)
+        act = activation(name)
+        self.assert_second_order([
+            float(np.max(np.abs(self.decoded_product(ab, h, act, x0) - ab[:, 0] * ab[:, 1])))
+            for h in STEPS
+        ])
+
+    def test_product_units_layout(self):
+        W, bias = np.zeros((8, 3)), np.zeros(8)
+        _product_units(W, bias, 2, 0, 2, 0.5)
+        want = np.zeros((8, 3))
+        want[2:, 0] = [0.5, -0.5, 0.5, -0.5, 0.0, 0.0]
+        want[2:, 2] = [0.5, -0.5, 0.0, 0.0, 0.5, -0.5]
+        assert np.array_equal(W, want)
+        assert np.array_equal(bias, [0.0, 0.0] + [X0] * 6)
+
+    @pytest.mark.parametrize("name", ["tanh", "gelu"])
+    def test_shift_without_columns_decodes_its_square(self, name):
+        # the pair of (shift) in the a + b slot and bare sigma(X0) pairs for a and b
+        # decode to (sq_h(shift) - 0 - 0) / 2
+        act = activation(name)
+        errs = []
+        for h in STEPS:
+            W, bias = np.zeros((6, 1)), np.zeros(self.XS.shape + (6,))
+            _sq_units(W, bias, 0, (), h, shift=self.XS)
+            _sq_units(W, bias, 2, (), h)
+            _sq_units(W, bias, 4, (), h)
+            assert not W.any()
+            weights, const = _sq_decode(h, act)
+            errs.append(float(np.max(np.abs(2.0 * (act(bias) @ weights + const) - self.XS**2))))
+        self.assert_second_order(errs)
+
+    def test_shift_adds_to_the_columns(self):
+        # sigma(X0 +- h (v + t)) and sigma(X0 +- h v) with sigma(X0 +- h t) decode v * t,
+        # the layout of the coefficient networks
+        act = activation("tanh")
+        t = np.cos(self.XS)
+        errs = []
+        for h in STEPS:
+            W, bias = np.zeros((6, 1)), np.zeros(self.XS.shape + (6,))
+            _sq_units(W, bias, 0, (0,), h, shift=t)
+            _sq_units(W, bias, 2, (0,), h)
+            _sq_units(W, bias, 4, (), h, shift=t)
+            weights, const = _sq_decode(h, act)
+            got = act(self.XS[:, None] @ W.T + bias) @ weights + const
+            errs.append(float(np.max(np.abs(got - self.XS * t))))
+        self.assert_second_order(errs)
+
+    @staticmethod
+    def decoded_identity(y, h, act):
+        W, bias = np.zeros((2, 1)), np.zeros(2)
+        _sq_units(W, bias, 0, (0,), h, x0=X0_ID)
+        units = act(y[:, None] @ W.T + bias)
+        return _psi_decode(h, act) * (units[:, 0] - units[:, 1])
+
+    def test_identity_error_is_second_order_for_tanh(self):
+        act = activation("tanh")
+        self.assert_second_order([
+            float(np.max(np.abs(self.decoded_identity(self.XS, h, act) - self.XS)))
+            for h in STEPS
+        ])
+
+    def test_identity_is_exact_to_round_off_for_gelu(self):
+        # gelu(x) - gelu(-x) = x, so the psi_h gadget has no truncation error
+        act = activation("gelu")
+        for h in STEPS:
+            assert np.max(np.abs(self.decoded_identity(self.XS, h, act) - self.XS)) <= 1e-14
+
+    def test_decoders_match_the_gadget_formulas(self):
+        act = activation("gelu")
+        weights, const = _sq_decode(0.25, act, 0.7)
+        denom = 2.0 * 0.25**2 * act.d2(0.7)
+        assert np.array_equal(weights, np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]) / denom)
+        assert const == 2.0 * act(0.7) / denom
+        assert _psi_decode(0.25, act) == 1.0 / (2.0 * 0.25 * act.d1(X0_ID))
 
 
 class TestProductNet:

@@ -323,8 +323,9 @@ TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn", "rfft", "irfft"}
 KERNELS = {"_fft_coeffs", "_ifft_values", "_rfft_half", "_irfft_values"}
 
 
-def _transform_uses(path: Path):
-    """(enclosing function, name, line) of every transform name a module mentions."""
+def _transform_uses(path: Path, names=TRANSFORMS):
+    """(enclosing function, name, line) of every use a module makes of the names
+    (by default the transforms); the function is None at module level."""
     found = []
 
     def visit(node, fn):
@@ -332,9 +333,9 @@ def _transform_uses(path: Path):
             fn = node.name
         name = (node.attr if isinstance(node, ast.Attribute)
                 else node.id if isinstance(node, ast.Name) else None)
-        if name in TRANSFORMS:
+        if name in names:
             found.append((fn, name, node.lineno))
-        if isinstance(node, ast.alias) and node.name in TRANSFORMS:
+        if isinstance(node, ast.alias) and node.name in names:
             found.append((fn, node.name, None))
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
@@ -360,3 +361,30 @@ class TestTransformKernels:
     def test_each_kernel_holds_a_transform(self):
         uses = _transform_uses(Path(spectral.__file__))
         assert {fn for fn, _, _ in uses} == KERNELS
+
+
+GADGET_NAMES = {"d1", "d2", "_SQ_SIGNS"}
+GADGET_READERS = {"_sq_decode", "_psi_decode", "__post_init__"}
+
+
+class TestGadgetDecoders:
+    """In emulation.py only the two gadget decoders and the spec validators read an
+    activation's derivatives or the sq_h signs, so no builder inlines the gadget."""
+
+    USES = _transform_uses(Path(emulation.__file__), GADGET_NAMES)
+
+    def test_only_the_decoders_read_the_gadget(self):
+        stray = [use for use in self.USES if use[0] not in GADGET_READERS | {None}]
+        assert not stray, f"gadget read outside the decoders: {stray}"
+        # at module level only the definition of the signs
+        assert [name for fn, name, _ in self.USES if fn is None] == ["_SQ_SIGNS"]
+
+    def test_each_decoder_reads_the_gadget(self):
+        assert {fn for fn, _, _ in self.USES} >= GADGET_READERS
+
+    def test_validators_are_the_two_specs(self):
+        specs = [node.name for node in ast.walk(ast.parse(Path(emulation.__file__).read_text()))
+                 if isinstance(node, ast.ClassDef)
+                 and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                         for f in node.body)]
+        assert specs == ["ProductNetSpec", "AffineApproxSpec"]
