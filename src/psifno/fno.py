@@ -184,22 +184,6 @@ class FourierMultiplier:
             full[sl] += s[..., None, None] * A
         return full
 
-    def pad(self, d_v: int) -> "FourierMultiplier":
-        if d_v == self.d_v:
-            return self
-        terms = []
-        for s, A in self.terms:
-            A2 = np.zeros((d_v, d_v), dtype=complex)
-            A2[: self.d_v, : self.d_v] = A
-            terms.append((s, A2))
-        return FourierMultiplier(self.d, self.mode_radius, terms, d_v, check=False)
-
-    def right_multiply(self, M: np.ndarray) -> "FourierMultiplier":
-        """Multiplier with every A_t replaced by A_t @ M (for compositions)."""
-        return FourierMultiplier(
-            self.d, self.mode_radius, [(s, A @ M) for s, A in self.terms], self.d_v, check=False
-        )
-
 
 @dataclass(frozen=True)
 class FnoLayer:
@@ -237,21 +221,30 @@ class FnoLayer:
         if self.multiplier is not None and self.multiplier.d_v != self.d_v:
             raise DimensionMismatch("multiplier d_v must equal layer d_v")
 
-    def padded(self, d_v: int, grid: Grid) -> "FnoLayer":
-        if d_v == self.d_v:
+    def padded(self, d_v: int, bridge: np.ndarray | None = None) -> "FnoLayer":
+        """This layer on d_v channels, the new ones zero; with a (d_v, d_v) bridge
+        M the weight W and every multiplier matrix A_t become W @ M and A_t @ M."""
+        if d_v == self.d_v and bridge is None:
             return self
-        w = None
-        if self.weight is not None:
-            w = np.zeros((d_v, d_v))
-            w[: self.d_v, : self.d_v] = self.weight
+
+        def embed(A):
+            if d_v > self.d_v:
+                A, narrow = np.zeros((d_v, d_v), dtype=A.dtype), A
+                A[: self.d_v, : self.d_v] = narrow
+            return A if bridge is None else A @ bridge
+
+        w = embed(self.weight) if self.weight is not None else None
         b = self.bias
-        if isinstance(b, GridField):
-            vals = np.zeros(grid.shape + (d_v,))
+        if d_v > self.d_v and isinstance(b, GridField):
+            vals = np.zeros(b.grid.shape + (d_v,))
             vals[..., : self.d_v] = b.values
-            b = GridField(grid, vals)
-        elif b is not None:
+            b = GridField(b.grid, vals)
+        elif d_v > self.d_v and b is not None:
             b = np.concatenate([b, np.zeros(d_v - self.d_v)])
-        m = self.multiplier.pad(d_v) if self.multiplier is not None else None
+        m = self.multiplier
+        if m is not None:
+            m = FourierMultiplier(m.d, m.mode_radius, [(s, embed(A)) for s, A in m.terms],
+                                  d_v, check=False)
         return FnoLayer(d_v, w, b, m, self.apply_activation)
 
 
@@ -532,7 +525,8 @@ def compose(outer: PsiFno, inner: PsiFno) -> PsiFno:
 
     The pointwise bridge R_outer @ Q_inner is absorbed into the first layer
     of the outer network (or into the lifting/projection matrices when a
-    factor has no layers), and channels are zero-padded to the larger lift.
+    factor has no layers), and channels are zero-padded to the larger lift,
+    each distinct layer once, so layers shared within a factor stay shared.
     """
     if inner.grid != outer.grid:
         raise DimensionMismatch("composition requires matching grids")
@@ -542,49 +536,39 @@ def compose(outer: PsiFno, inner: PsiFno) -> PsiFno:
         )
     if inner.activation != outer.activation:
         raise DimensionMismatch("composition requires a shared activation")
-    grid = inner.grid
-    if not outer.layers and not inner.layers:
-        R = outer.lifting @ inner.projection @ inner.lifting
-        return PsiFno(grid, R, (), outer.projection, outer.activation)
-    if not outer.layers:
-        Q = outer.projection @ outer.lifting @ inner.projection
-        return PsiFno(grid, inner.lifting, inner.layers, Q, outer.activation)
     if not inner.layers:
         R = outer.lifting @ inner.projection @ inner.lifting
-        return PsiFno(grid, R, outer.layers, outer.projection, outer.activation)
+        return PsiFno(inner.grid, R, outer.layers, outer.projection, outer.activation)
+    if not outer.layers:
+        Q = outer.projection @ outer.lifting @ inner.projection
+        return PsiFno(inner.grid, inner.lifting, inner.layers, Q, outer.activation)
 
     d_v = max(inner.d_v, outer.d_v)
-    bridge = outer.lifting @ inner.projection  # (d_v_outer, d_v_inner)
     M = np.zeros((d_v, d_v))
-    M[: bridge.shape[0], : bridge.shape[1]] = bridge
-
-    new_layers = [layer.padded(d_v, grid) for layer in inner.layers]
-    first = outer.layers[0].padded(d_v, grid)
-    w = first.weight @ M if first.weight is not None else None
-    mult = first.multiplier.right_multiply(M) if first.multiplier is not None else None
-    new_layers.append(FnoLayer(d_v, w, first.bias, mult, first.apply_activation))
-    new_layers.extend(layer.padded(d_v, grid) for layer in outer.layers[1:])
+    M[: outer.d_v, : inner.d_v] = outer.lifting @ inner.projection
+    distinct = {id(layer): layer for layer in inner.layers + outer.layers[1:]}
+    wide = {key: layer.padded(d_v) for key, layer in distinct.items()}  # once per shared layer
+    layers = [wide[id(layer)] for layer in inner.layers]
+    layers.append(outer.layers[0].padded(d_v, M))
+    layers.extend(wide[id(layer)] for layer in outer.layers[1:])
 
     R = np.zeros((d_v, inner.d_a))
     R[: inner.d_v, :] = inner.lifting
     Q = np.zeros((outer.d_u, d_v))
     Q[:, : outer.d_v] = outer.projection
-    return PsiFno(grid, R, tuple(new_layers), Q, outer.activation)
+    return PsiFno(inner.grid, R, tuple(layers), Q, outer.activation)
 
 
 def validate_network(net: PsiFno) -> None:
-    """Re-run all construction invariants: dimensions and multiplier conjugacy.
+    """Run on every layer the checks a plan compile runs, raising on any violation:
+    the bias field's grid, the multiplier's dimension, radius and conjugacy.
 
     Builders assemble multipliers from terms whose symmetry holds by
-    construction and skip the per-term check for speed; this walks every
-    layer and enforces it, raising on any violation.
+    construction and skip the per-term check for speed; this enforces it
+    without compiling a plan.
     """
     for layer in net.layers:
-        if layer.multiplier is not None:
-            m = layer.multiplier
-            FourierMultiplier(m.d, m.mode_radius, m.terms, m.d_v, check=True)
-        if isinstance(layer.bias, GridField) and layer.bias.grid != net.grid:
-            raise DimensionMismatch("bias field grid differs from the network grid")
+        _layer_affine(layer, net.grid)
 
 
 @dataclass(frozen=True)
@@ -692,8 +676,9 @@ def load_model(path) -> PsiFno:
     checksum that does not match (any single flipped bit or cut), a
     header that is cut short, not JSON or missing fields, a payload whose
     length differs from what the header describes, non-finite values, a
-    multiplier that breaks conjugacy, or a same_as that names no earlier
-    layer, so a bad file fails here rather than mid-forward.
+    multiplier that breaks conjugacy or whose radius exceeds N, or a
+    same_as that names no earlier layer, so a bad file fails here rather
+    than mid-forward.
     """
     try:
         raw = Path(path).read_bytes()
@@ -766,6 +751,8 @@ def _model_from_header(header: dict, buf: memoryview, off: int) -> PsiFno:
         mult = None
         if desc["multiplier"] is not None:
             W = _header_int(desc["multiplier"], "mode_radius", 0)
+            if W > N:
+                raise BadParameters(f"layer {i}: multiplier radius {W} exceeds N = {N}")
             terms = [(take((2 * W + 1,) * d, "<c16"), take((d_v, d_v), "<c16"))
                      for _ in range(_header_int(desc["multiplier"], "n_terms", 0))]
             mult = FourierMultiplier(d, W, terms, d_v)  # checks conjugacy

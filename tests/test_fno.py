@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 import subprocess
@@ -19,6 +20,7 @@ from psifno.fno import (
     load_model,
     save_model,
     size_report,
+    validate_network,
 )
 from psifno.spectral import (
     Grid,
@@ -296,6 +298,11 @@ class TestCompose:
         assert rel_err(fno_forward(comp1, a).values, fno_forward(f, a).values) < 1e-12
         comp2 = compose(f, lin)
         assert rel_err(fno_forward(comp2, a).values, fno_forward(f, a).values) < 1e-12
+        lin2 = PsiFno(g, np.array([[1.0], [3.0]]), (), np.array([[0.25, -1.0]]))
+        comp3 = compose(lin2, lin)
+        assert np.array_equal(comp3.lifting, lin2.lifting @ lin.projection @ lin.lifting)
+        want = fno_forward(lin2, fno_forward(lin, a))
+        assert rel_err(fno_forward(comp3, a).values, want.values) < 1e-12
 
     def test_rejects_mismatched_channels(self):
         g = Grid(1, 2)
@@ -304,6 +311,52 @@ class TestCompose:
         B = random_net(g, rng, d_u=3)
         with pytest.raises(DimensionMismatch):
             compose(A, B)
+
+    def test_shared_layer_widened_once(self, tmp_path):
+        g = Grid(1, 3)
+        rng = np.random.default_rng(21)
+        shared = random_layer(g, 3, rng)
+        inner = PsiFno(g, rng.standard_normal((3, 1)), (shared,) * 4, rng.standard_normal((2, 3)))
+        outer = random_net(g, rng, d_a=2, d_v=5, d_u=1, depth=2)
+        comp = compose(outer, inner)
+        assert comp.d_v == 5
+        assert len({id(layer) for layer in comp.layers[:4]}) == 1
+        save_model(comp, tmp_path / "comp.psifno")
+        raw = (tmp_path / "comp.psifno").read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        descs = json.loads(raw[16 : 16 + hlen])["layers"]
+        assert descs[1:4] == [{"same_as": 0}] * 3
+        a = random_field(g, rng)
+        want = reference_forward(outer, reference_forward(inner, a)).values
+        assert rel_err(fno_forward(comp, a).values, want) < 1e-12
+        assert rel_err(reference_forward(comp, a).values, want) < 1e-12
+
+    def test_foreign_bias_grid_left_to_validation(self):
+        g = Grid(1, 3)
+        rng = np.random.default_rng(22)
+        stray = FnoLayer(2, None, random_field(Grid(1, 2), rng, channels=2), None, True)
+        inner = PsiFno(g, np.ones((2, 1)), (stray,), np.ones((1, 2)))
+        comp = compose(random_net(g, rng, d_v=3, depth=1), inner)
+        assert comp.layers[0].bias.grid == Grid(1, 2)
+        with pytest.raises(DimensionMismatch, match="grid"):
+            validate_network(comp)
+
+
+class TestValidateNetwork:
+    """validate_network runs the per-layer checks of a plan compile."""
+
+    # a multiplier off the N = 2 line grid: radius 3 > N, or two-dimensional
+    @pytest.mark.parametrize("d,W,match", [(1, 3, "radius"), (2, 1, "dimension")])
+    def test_multiplier_off_the_grid(self, d, W, match):
+        m = FourierMultiplier(d, W, [(hermitian_modes(d, W, np.random.default_rng(23)),
+                                      np.eye(1))], 1)
+        net = PsiFno(Grid(1, 2), np.eye(1), (FnoLayer(1, None, None, m, True),), np.eye(1))
+        with pytest.raises(DimensionMismatch, match=match):
+            validate_network(net)
+
+    def test_non_conjugate_multiplier(self):
+        with pytest.raises(BadParameters, match="conjugacy"):
+            validate_network(non_conjugate_net(Grid(2, 2)))
 
 
 class TestSizeReport:
@@ -493,6 +546,21 @@ class TestLoadHardening:
         off = 16 + hlen  # first lifting entry
         path.write_bytes(self._seal(raw[:off] + struct.pack("<d", np.nan) + raw[off + 8 :]))
         with pytest.raises(BadParameters):
+            load_model(path)
+
+    def test_multiplier_radius_above_n_rejected(self, tmp_path):
+        # a constant bias and a radius-N multiplier: no payload size depends on N
+        g = Grid(1, 3)
+        m = FourierMultiplier(1, 3, [(hermitian_modes(1, 3, np.random.default_rng(61)),
+                                      np.eye(1))], 1)
+        net = PsiFno(g, np.eye(1), (FnoLayer(1, np.eye(1), np.ones(1), m, True),), np.eye(1))
+        path = tmp_path / "wide.psifno"
+        save_model(net, path)
+        raw = path.read_bytes()
+        garbled = self._rewrite(raw, lambda h: h.replace(b'"N": 3,', b'"N": 2,', 1))
+        assert garbled != raw
+        path.write_bytes(garbled)
+        with pytest.raises(BadParameters, match="radius"):
             load_model(path)
 
     def test_non_conjugate_multiplier_rejected_at_load(self, tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psifno
-from psifno import darcy, emulation, navier_stokes as ns, spectral
+from psifno import darcy, emulation, fno, navier_stokes as ns, spectral
 from psifno.darcy import PicardOperator, prepare_coefficients, random_decay_coefficient
 from psifno.navier_stokes import (
     NsConfig,
@@ -388,3 +388,33 @@ class TestGadgetDecoders:
                  and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
                          for f in node.body)]
         assert specs == ["ProductNetSpec", "AffineApproxSpec"]
+
+
+def _multiplier_rebuilders(path: Path) -> list:
+    """Top-level functions and methods ("Class.method") that both call
+    FourierMultiplier(...) and read some multiplier's .terms, nested defs included."""
+    scopes = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            scopes.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{f.name}", f) for f in node.body
+                       if isinstance(f, ast.FunctionDef)]
+    found = []
+    for name, scope in scopes:
+        nodes = list(ast.walk(scope))
+        builds = any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                     and n.func.id == "FourierMultiplier" for n in nodes)
+        reads = any(isinstance(n, ast.Attribute) and n.attr == "terms"
+                    and isinstance(n.ctx, ast.Load) for n in nodes)
+        if builds and reads:
+            found.append(name)
+    return found
+
+
+class TestOneChannelMap:
+    """In fno.py only FnoLayer.padded builds a multiplier from another one's terms,
+    so widening a layer and folding a compose bridge into it exist once."""
+
+    def test_only_padded_rebuilds_a_multiplier(self):
+        assert _multiplier_rebuilders(Path(fno.__file__)) == ["FnoLayer.padded"]
