@@ -25,7 +25,8 @@ result applies the activation.
 
 Both gadgets read the unit pair sigma(x0 +- h y): every network writes it
 through one encoder, `_sq_units` (`_product_units` for the three pairs of
-a product), and reads it back through one decoder per gadget,
+a product, `_field_products` for the channel x field products of the
+coefficient networks), and reads it back through one decoder per gadget,
 `_sq_decode` (combine weights and constant) or `_psi_decode` (the scale).
 
 Solver emulators replay the fixed-point algorithms block by block: the
@@ -108,6 +109,10 @@ def _probe_error(inputs, wants, norm=l2_norm):
     """net -> the worst norm(net(x) - want) over the probe pairs (x, want)."""
     return lambda net: max(norm(GridField(want.grid, fno_forward(net, x).values - want.values))
                            for x, want in zip(inputs, wants))
+
+
+def _sup_norm(e: GridField) -> float:
+    return float(np.max(np.abs(e.values)))
 
 
 def _calibrate_steps(build, budget: float, sup_carry: float, sup_prod: float, error,
@@ -307,7 +312,7 @@ def build_affine_approx(spec: AffineApproxSpec, rng=None) -> PsiFno:
     bare = FnoLayer(layer.d_v, layer.weight, layer.bias, layer.multiplier, False)
     targets = [layer_forward(bare, v, activation(spec.activation)) for v in fields]
     return _calibrate(lambda h: _affine_approx_net(h, spec),
-                      _probe_error(fields, targets, lambda e: float(np.max(np.abs(e.values)))),
+                      _probe_error(fields, targets, _sup_norm),
                       spec.eps, H0)[0]
 
 
@@ -345,6 +350,25 @@ def _sigma_layer(D: int, products, carries, h: float, h_c: float = 0.0) -> FnoLa
     for q, col in enumerate(carries):
         _sq_units(W, b, 6 * len(products) + 2 * q, (col,), h_c, x0=X0_ID)
     return FnoLayer(D, W, b, None, True)
+
+
+def _field_products(grid: Grid, D: int, products, h: float) -> tuple:
+    """Activated layer for the products v_col * field, each field sampled on the grid:
+    the pairs of col + field and of field at 4p and 4p + 2 for the p-th product
+    (col, field), then one pair per distinct col.  Returns the layer and a
+    (len(products), 6) array of each product's units in _SQ_SIGNS order."""
+    W = np.zeros((D, D))
+    bias = np.zeros(grid.shape + (D,))
+    pairs = {}  # col -> the row of its pair
+    for p, (col, field) in enumerate(products):
+        _sq_units(W, bias, 4 * p, (col,), h, field)
+        _sq_units(W, bias, 4 * p + 2, (), h, field)
+        pairs.setdefault(col, 4 * len(products) + 2 * len(pairs))
+    for col, row in pairs.items():
+        _sq_units(W, bias, row, (col,), h)
+    units = np.array([[4 * p, 4 * p + 1, pairs[col], pairs[col] + 1, 4 * p + 2, 4 * p + 3]
+                      for p, (col, _) in enumerate(products)])
+    return FnoLayer(D, W, GridField(grid, bias), None, True), units
 
 
 def _product_sums(groups, weights: np.ndarray, D: int) -> np.ndarray:
@@ -652,53 +676,39 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
 
 
 def _phase_fields(grid: Grid) -> tuple:
-    """cos<k,x> and sin<k,x> sampled on the grid, for every k; shape (|K|,) + grid.shape."""
+    """(fields, ks): fields[2t] = cos<k_t,x> and fields[2t+1] = sin<k_t,x> sampled on the
+    grid, for every mode k_t; shape (2|K|,) + grid.shape."""
     ks = mode_index_list(grid)
     pts = grid.coordinates()
     phases = np.zeros((len(ks),) + grid.shape)
     for axis in range(grid.d):
         phases += ks[:, axis].reshape((-1,) + (1,) * grid.d) * pts[axis][None, ...]
-    return np.cos(phases), np.sin(phases), ks
+    return np.stack([np.cos(phases), np.sin(phases)], 1).reshape((-1,) + grid.shape), ks
 
 
-def _delta0(grid: Grid) -> np.ndarray:
-    s = np.zeros(grid.shape, dtype=complex)
-    s[(grid.N,) * grid.d] = 1.0
-    return s
+def _coefficient_channels(v: GridField) -> GridField:
+    """(Re v_k, Im v_k) of a one-channel field, in mode order, as 2|K| constant channels."""
+    c = dft(v).coeffs[..., 0].ravel()
+    w = np.stack([c.real, c.imag], axis=-1).ravel()
+    return GridField(v.grid, np.broadcast_to(w, v.grid.shape + w.shape).copy())
 
 
 def _ft_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, N)
-    cosf, sinf, ks = _phase_fields(grid)
+    fields, ks = _phase_fields(grid)
     K = len(ks)
     D = 8 * K + 2
+    # sigma-layer: sq_h units of v cos<k,x> and v sin<k,x>
+    L1, units = _field_products(grid, D, [(0, f) for f in fields], h)
 
-    # sigma-layer: sq_h units for v+cos_k, cos_k, v+sin_k, sin_k, and shared v
-    W1 = np.zeros((D, D))
-    bias_vals = np.zeros(grid.shape + (D,))
-    for t in range(K):
-        for r, trig in ((8 * t, cosf[t]), (8 * t + 4, sinf[t])):
-            _sq_units(W1, bias_vals, r, (0,), h, trig)    # sq_h(v + trig)
-            _sq_units(W1, bias_vals, r + 2, (), h, trig)  # sq_h(trig)
-    _sq_units(W1, bias_vals, 8 * K, (0,), h)              # shared sq_h(v)
-    L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
-
-    # zero-mode multiplier: averaging the products gives Re / -Im
+    # zero-mode multiplier: averaging the products gives Re / -Im,
+    # Re(v_k) = mean( v cos<k,x> ),  Im(v_k) = -mean( v sin<k,x> )
     weights, const = _sq_decode(h)
+    signs = np.tile([1.0, -1.0], K)
     C = np.zeros((D, D))
-    bias2 = np.zeros(D)
-    for t in range(K):
-        r = 8 * t
-        # Re(v_k) = mean( v cos<k,x> ),  Im(v_k) = -mean( v sin<k,x> )
-        C[2 * t, [r, r + 1, r + 2, r + 3, 8 * K, 8 * K + 1]] = weights
-        C[2 * t + 1, [r + 4, r + 5, r + 6, r + 7, 8 * K, 8 * K + 1]] = -weights
-        bias2[2 * t] = const
-        bias2[2 * t + 1] = -const
-    L2 = FnoLayer(
-        D, None, bias2,
-        FourierMultiplier(d, N, [(_delta0(grid), C.astype(complex))], D, check=False),
-        False,
-    )
+    C[np.arange(2 * K)[:, None], units] = signs[:, None] * weights
+    mult = FourierMultiplier(d, N, [(_mask(grid, 0, False), C.astype(complex))], D, check=False)
+    L2 = FnoLayer(D, None, np.concatenate([signs * const, np.zeros(D - 2 * K)]), mult, False)
 
     return PsiFno(grid, np.eye(D, 1), (L1, L2), np.eye(2 * K, D), _SIGMA.name,
                   meta={"h": h, "kind": "ft-emulator", "modes": ks.tolist()})
@@ -721,48 +731,24 @@ def build_ft_emulator(N: int, B: float, eps: float, d: int = 1, rng=None) -> Psi
     x0_coord = np.broadcast_to(grid.coordinates()[0], grid.shape)
     fields.append(GridField(grid, (np.sqrt(2.0) * c_max * np.cos(x0_coord))[..., None]))
     fields += [_ball_field(grid, rng, B) for _ in range(16)]
-    targets = []
-    for v in fields:
-        c = dft(v).coeffs[..., 0].ravel()
-        targets.append(np.stack([c.real, c.imag], axis=-1).ravel())
-
-    def error(net: PsiFno) -> float:
-        worst = 0.0
-        for v, want in zip(fields, targets):
-            out = fno_forward(net, v).values
-            flat = out.reshape(-1, out.shape[-1])
-            worst = max(worst, float(np.max(np.abs(flat.mean(axis=0) - want))))  # constant channels
-            worst = max(worst, float(np.max(np.std(flat, axis=0))))
-        return worst
-
-    return _calibrate(lambda h: _ft_net(N, d, h), error, 0.5 * eps, H0)[0]
+    # the outputs are constant over the grid, so the sup error is each channel's error
+    return _calibrate(lambda h: _ft_net(N, d, h),
+                      _probe_error(fields, [_coefficient_channels(v) for v in fields], _sup_norm),
+                      0.5 * eps, H0)[0]
 
 
 def _ift_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, N)
-    cosf, sinf, ks = _phase_fields(grid)
+    fields, ks = _phase_fields(grid)
     K = len(ks)
     D = 12 * K
+    # sigma-layer: sq_h units of w_{2t} cos<k_t,x> and w_{2t+1} sin<k_t,x>
+    L1, units = _field_products(grid, D, list(enumerate(fields)), h)
 
-    W1 = np.zeros((D, D))
-    bias_vals = np.zeros(grid.shape + (D,))
-    for t in range(K):
-        for ell, trig in ((0, cosf[t]), (1, sinf[t])):
-            r, col = 12 * t + 6 * ell, 2 * t + ell
-            _sq_units(W1, bias_vals, r, (col,), h, trig)   # sq_h(w + trig)
-            _sq_units(W1, bias_vals, r + 2, (col,), h)     # sq_h(w)
-            _sq_units(W1, bias_vals, r + 4, (), h, trig)   # sq_h(trig)
-    L1 = FnoLayer(D, W1, GridField(grid, bias_vals), None, True)
-
-    weights, const = _sq_decode(h)
+    # v = sum_k Re_k cos - Im_k sin; the constants of each cos/sin pair cancel: no bias
     combine = np.zeros((D, D))
-    total = 0.0
-    for t in range(K):
-        for ell, sign in ((0, 1.0), (1, -1.0)):  # v = sum_k Re_k cos - Im_k sin
-            r = 12 * t + 6 * ell
-            combine[0, r : r + 6] += sign * weights
-            total += sign * const
-    L2 = FnoLayer(D, combine, np.concatenate([[total], np.zeros(D - 1)]), None, False)
+    combine[0, units] = np.tile([1.0, -1.0], K)[:, None] * _sq_decode(h)[0]
+    L2 = FnoLayer(D, combine, None, None, False)
 
     return PsiFno(grid, np.eye(D, 2 * K), (L1, L2), np.eye(1, D), _SIGMA.name,
                   meta={"h": h, "kind": "ift-emulator", "modes": ks.tolist()})
@@ -776,16 +762,14 @@ def build_ift_emulator(N: int, B: float, eps: float, d: int = 1, rng=None) -> Ps
     """
     rng = rng if rng is not None else np.random.default_rng(6)
     grid = Grid(d, N)
-    inputs, wants = [], []
+    wants = []
     for _ in range(16):
         v = random_field(grid, rng)
         scale = B / max(float(np.max(np.abs(dft(v).coeffs))), 1e-30) * 0.9
-        v = GridField(grid, v.values * scale)
-        c = dft(v).coeffs[..., 0].ravel()
-        w = np.stack([c.real, c.imag], axis=-1).ravel()
-        inputs.append(GridField(grid, np.broadcast_to(w, grid.shape + w.shape).copy()))
-        wants.append(v)
-    return _calibrate(lambda h: _ift_net(N, d, h), _probe_error(inputs, wants), 0.5 * eps, H0)[0]
+        wants.append(GridField(grid, v.values * scale))
+    return _calibrate(lambda h: _ift_net(N, d, h),
+                      _probe_error([_coefficient_channels(v) for v in wants], wants),
+                      0.5 * eps, H0)[0]
 
 
 def fourier_conjugate_pipeline(inner: PsiFno, ft: PsiFno, ift: PsiFno) -> PsiFno:

@@ -11,6 +11,7 @@ from psifno.emulation import (
     AffineApproxSpec,
     _calibrate,
     _calibrate_steps,
+    _field_products,
     _probe_error,
     _product_units,
     _psi_decode,
@@ -241,6 +242,38 @@ class TestGadget:
         assert np.array_equal(weights, np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]) / denom)
         assert const == 2.0 * act(0.7) / denom
         assert _psi_decode(0.25, act) == 1.0 / (2.0 * 0.25 * act.d1(X0_ID))
+
+
+class TestFieldProducts:
+    """The channel x field encoder of the coefficient networks."""
+
+    GRID = Grid(1, 4)
+    X = GRID.coordinates()[0]
+    PRODUCTS = [(0, np.cos(X)), (0, np.sin(2 * X)), (1, 0.5 - np.cos(3 * X))]
+
+    def test_layout(self):
+        layer, units = _field_products(self.GRID, 16, self.PRODUCTS, 0.5)
+        assert layer.d_v == 16 == 4 * 3 + 2 * 2
+        assert isinstance(layer.bias, GridField) and layer.apply_activation
+        # column 0's pair is written once, after every product's pairs
+        assert units.tolist() == [[0, 1, 12, 13, 2, 3], [4, 5, 12, 13, 6, 7],
+                                  [8, 9, 14, 15, 10, 11]]
+        assert np.flatnonzero(layer.weight[:, 0]).tolist() == [0, 1, 4, 5, 12, 13]
+        assert np.flatnonzero(layer.weight[:, 1]).tolist() == [8, 9, 14, 15]
+        assert np.array_equal(layer.bias.values[..., 12:], np.full(self.X.shape + (4,), X0))
+
+    def test_units_decode_each_product_to_second_order(self):
+        act = activation("tanh")
+        v = np.stack([np.linspace(-1.5, 1.5, self.X.size),
+                      np.linspace(1.2, -0.8, self.X.size)], axis=-1)
+        errs = []
+        for h in STEPS:
+            layer, units = _field_products(self.GRID, 16, self.PRODUCTS, h)
+            out = act(v @ layer.weight[:, :2].T + layer.bias.values)
+            weights, const = _sq_decode(h, act)
+            errs.append(max(float(np.max(np.abs(out[:, u] @ weights + const - v[:, col] * f)))
+                            for u, (col, f) in zip(units, self.PRODUCTS)))
+        TestGadget.assert_second_order(errs)
 
 
 class TestProductNet:
@@ -632,6 +665,16 @@ class TestFtIftEmulators:
         v = unit_ball_field(Grid(1, 1), rng)
         out = fno_forward(net, v).values
         assert np.max(np.std(out, axis=0)) <= 1e-3
+
+    @pytest.mark.parametrize("d,N", [(1, 2), (2, 2)])
+    def test_outputs_are_exactly_constant(self, d, N):
+        # the zero-mode multiplier leaves nothing to vary over the grid, so the
+        # calibration's sup error is each coefficient channel's error
+        net = build_ft_emulator(N, B=1.0, eps=1e-3, d=d)
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            out = fno_forward(net, unit_ball_field(Grid(d, N), rng)).values
+            assert np.ptp(out.reshape(-1, out.shape[-1]), axis=0).max() == 0.0
 
     def test_round_trip_composition(self):
         N, eps = 2, 5e-4

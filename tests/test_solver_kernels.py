@@ -390,6 +390,16 @@ class TestGadgetDecoders:
         assert specs == ["ProductNetSpec", "AffineApproxSpec"]
 
 
+class TestOneFieldEncoder:
+    """In emulation.py the unit pairs are written only by the three encoders built on
+    _sq_units: one product, one sigma-layer of products and carries, and the
+    channel x field products of the coefficient networks."""
+
+    def test_only_the_encoders_write_unit_pairs(self):
+        writers = {fn for fn, _, _ in _transform_uses(Path(emulation.__file__), {"_sq_units"})}
+        assert writers == {"_product_units", "_field_products", "_sigma_layer"}
+
+
 def _multiplier_rebuilders(path: Path) -> list:
     """Top-level functions and methods ("Class.method") that both call
     FourierMultiplier(...) and read some multiplier's .terms, nested defs included."""
