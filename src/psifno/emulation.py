@@ -24,22 +24,21 @@ layers; `strictify` rewrites those through psi_h so every layer of the
 result applies the activation.
 
 Both gadgets read the unit pair sigma(x0 +- h y): every network writes it
-through one encoder, `_sq_units` (`_product_units` for the three pairs of
-a product, `_field_products` for the channel x field products of the
-coefficient networks), and reads it back through one decoder per gadget,
-`_sq_decode` (combine weights and constant) or `_psi_decode` (the scale).
+through one encoder, `_sigma_layer`, once however many products share it,
+and reads it back through one decoder per gadget, `_sq_decode` (combine
+weights and constant) or `_psi_decode` (the scale).
 
 Solver emulators replay the fixed-point algorithms block by block: the
 Darcy network stacks K copies of [gradient F-layer; product sigma-layer;
 combine/update F-layer with the lifted source as bias], and the
 Navier-Stokes network stacks n_T * kappa0 advection blocks of the same
 shape.  Widths grow like N^d through the grid, depths like the iteration
-counts; lifts stay constant.  Three assemblers build every block:
-`_feed_layer` (channel copies and gradients under a mode mask),
-`_sigma_layer` (the encoder's units of each product, one psi_h pair per
+counts; lifts stay constant (4d + 4 and 4d^2 + 4d).  Three assemblers
+build every block: `_feed_layer` (channel copies and gradients under a
+mode mask), `_sigma_layer` (the products' pairs, then one psi_h pair per
 carried channel) and `_product_sums` (combine rows from the sq_h
 decoder).  The nonlinearity networks P_N(a grad u) and PL_N(u . grad w)
-are one such block without the carry or the update.
+are one such block without the carry or the update (lifts 4d + 2, 4d^2 + 2d).
 """
 
 from __future__ import annotations
@@ -159,13 +158,6 @@ def _sq_units(W: np.ndarray, bias: np.ndarray, row: int, cols, h: float, shift=0
     bias[..., row + 1] = x0 - h * shift
 
 
-def _product_units(W: np.ndarray, bias: np.ndarray, row: int, col_a: int, col_b: int,
-                   h: float, x0=X0):
-    """Six sq_h units from row for v_a * v_b: the pairs of a + b, a and b (_SQ_SIGNS order)."""
-    for r, cols in ((0, (col_a, col_b)), (2, (col_a,)), (4, (col_b,))):
-        _sq_units(W, bias, row + r, cols, h, x0=x0)
-
-
 def _sq_decode(h: float, act=_SIGMA, x0=X0) -> tuple:
     """(weights, const): weights . (six product units) + const = v_a * v_b + O(h^2).
 
@@ -229,10 +221,10 @@ class ProductNetSpec:
 
 
 def _product_net(h: float, spec: ProductNetSpec) -> DenseNet:
-    A1, b1 = np.zeros((6, 2)), np.zeros(6)
-    _product_units(A1, b1, 0, 0, 1, h, spec.x0)
+    layer = _sigma_layer(6, [(0, 1)], h, x0=spec.x0)[0]
     weights, const = _sq_decode(h, activation(spec.activation), spec.x0)
-    return DenseNet(((A1, b1, True), (weights[None], np.array([const]), False)), spec.activation)
+    return DenseNet(((layer.weight[:, :2], layer.bias, True),
+                     (weights[None], np.array([const]), False)), spec.activation)
 
 
 def build_product_net(spec: ProductNetSpec) -> DenseNet:
@@ -340,45 +332,46 @@ def _feed_layer(grid: Grid, D: int, mask: np.ndarray, copies, grads) -> FnoLayer
     return FnoLayer(D, None, None, FourierMultiplier(grid.d, grid.N, terms, D, check=False), False)
 
 
-def _sigma_layer(D: int, products, carries, h: float, h_c: float = 0.0) -> FnoLayer:
-    """Activated layer: six sq_h units at 6p for the p-th product (col_a, col_b),
-    then one psi_h pair (step h_c, at X0_ID) per carried channel."""
+def _sigma_layer(D: int, products, h: float, carries=(), h_c: float = 0.0, grid=None,
+                 x0=X0) -> tuple:
+    """Activated layer writing each unit pair once, for the products v_a * b with b a
+    channel or a field sampled on grid: per product the pair of a + b, followed by the
+    pair of b when b is a field; then one pair per distinct channel, in first-seen
+    order; then one psi_h pair (step h_c, at X0_ID) per carried channel.  Returns the
+    layer, a (len(products), 6) array of each product's units in _SQ_SIGNS order and
+    the first carry row."""
     W = np.zeros((D, D))
-    b = np.zeros(D)
-    for p, (col_a, col_b) in enumerate(products):
-        _product_units(W, b, 6 * p, col_a, col_b, h)
+    bias = np.zeros((() if grid is None else grid.shape) + (D,))
+    fields = [np.ndim(b) > 0 for _, b in products]
+    pairs = {}  # channel -> the row of its pair
+    for (a, b), field in zip(products, fields):
+        for col in (a,) if field else (a, b):
+            pairs.setdefault(col, 2 * (len(products) + sum(fields) + len(pairs)))
+    units, row = [], 0
+    for (a, b), field in zip(products, fields):
+        _sq_units(W, bias, row, (a,) if field else (a, b), h, b if field else 0.0, x0)
+        if field:
+            _sq_units(W, bias, row + 2, (), h, b, x0)
+        row_b = row + 2 if field else pairs[b]
+        units.append([row, row + 1, pairs[a], pairs[a] + 1, row_b, row_b + 1])
+        row += 4 if field else 2
+    for col, r in pairs.items():
+        _sq_units(W, bias, r, (col,), h, x0=x0)
+    row_c = row + 2 * len(pairs)
     for q, col in enumerate(carries):
-        _sq_units(W, b, 6 * len(products) + 2 * q, (col,), h_c, x0=X0_ID)
-    return FnoLayer(D, W, b, None, True)
+        _sq_units(W, bias, row_c + 2 * q, (col,), h_c, x0=X0_ID)
+    layer = FnoLayer(D, W, bias if grid is None else GridField(grid, bias), None, True)
+    return layer, np.array(units), row_c
 
 
-def _field_products(grid: Grid, D: int, products, h: float) -> tuple:
-    """Activated layer for the products v_col * field, each field sampled on the grid:
-    the pairs of col + field and of field at 4p and 4p + 2 for the p-th product
-    (col, field), then one pair per distinct col.  Returns the layer and a
-    (len(products), 6) array of each product's units in _SQ_SIGNS order."""
-    W = np.zeros((D, D))
-    bias = np.zeros(grid.shape + (D,))
-    pairs = {}  # col -> the row of its pair
-    for p, (col, field) in enumerate(products):
-        _sq_units(W, bias, 4 * p, (col,), h, field)
-        _sq_units(W, bias, 4 * p + 2, (), h, field)
-        pairs.setdefault(col, 4 * len(products) + 2 * len(pairs))
-    for col, row in pairs.items():
-        _sq_units(W, bias, row, (col,), h)
-    units = np.array([[4 * p, 4 * p + 1, pairs[col], pairs[col] + 1, 4 * p + 2, 4 * p + 3]
-                      for p, (col, _) in enumerate(products)])
-    return FnoLayer(D, W, GridField(grid, bias), None, True), units
-
-
-def _product_sums(groups, weights: np.ndarray, D: int) -> np.ndarray:
-    """One combine row per group: the sum of its products p, each decoded from the
-    six sq_h units at 6p by the _sq_decode weights.  The constant per product is
-    left to the caller's bias (or to a multiplier that vanishes at k = 0)."""
+def _product_sums(groups, units: np.ndarray, weights: np.ndarray, D: int) -> np.ndarray:
+    """One combine row per group: the sum of its products p, each decoded from its
+    units[p] by the _sq_decode weights.  The constant per product is left to the
+    caller's bias (or to a multiplier that vanishes at k = 0)."""
     rows = np.zeros((len(groups), D))
     for g, group in enumerate(groups):
         for p in group:
-            rows[g, 6 * p : 6 * p + 6] = weights
+            rows[g, units[p]] += weights
     return rows
 
 
@@ -412,14 +405,14 @@ def _psi_combine(row0: int, h: float, D: int) -> np.ndarray:
 
 def _darcy_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, 2 * N)
-    D = 6 * d
+    D = 4 * d + 2
     mask = _mask(grid, N, zero_mean=False)
     # (a, u) -> (a, du/dx_i) -> sq_h units of a * du/dx_i -> P_N(a grad u)_i in channel i
     L1 = _feed_layer(grid, D, mask, [(0, 0)], [(1 + i, 1, i) for i in range(d)])
-    L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], (), h)
+    L2, units, _ = _sigma_layer(D, [(0, 1 + i) for i in range(d)], h)
     weights, const = _sq_decode(h)
     C = np.zeros((D, D))
-    C[:d] = _product_sums([[i] for i in range(d)], weights, D)
+    C[:d] = _product_sums([[i] for i in range(d)], units, weights, D)
     bias3 = np.zeros(D)
     bias3[:d] = const
     L3 = FnoLayer(D, None, bias3, FourierMultiplier(d, grid.N, [(mask, C)], D, check=False), False)
@@ -463,18 +456,19 @@ def _pair_net(N: int, d: int, B: float, eps: float, net, oracle, draw) -> PsiFno
 
 def _ns_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     grid = Grid(d, 2 * N)
-    D = 6 * d * d
+    D = 4 * d * d + 2 * d
     mask = _mask(grid, N, zero_mean=False)
     mask_dot = _mask(grid, N, zero_mean=True)
     # (u, w) -> (u, dw_m/dx_i at d + i*d + m) -> sq_h units of u_i * dw_m/dx_i
     pairs = [(i, m) for i in range(d) for m in range(d)]
     L1 = _feed_layer(grid, D, mask, [(c, c) for c in range(d)],
                      [(d + i * d + m, d + m, i) for i, m in pairs])
-    L2 = _sigma_layer(D, [(i, d + i * d + m) for i, m in pairs], (), h)
+    L2, units, _ = _sigma_layer(D, [(i, d + i * d + m) for i, m in pairs], h)
 
     # F-layer: Leray-truncated combine of adv_m = sum_i u_i dw_m/dx_i
     C = np.zeros((D, D))
-    C[:d] = _product_sums([[i * d + m for i in range(d)] for m in range(d)], _sq_decode(h)[0], D)
+    C[:d] = _product_sums([[i * d + m for i in range(d)] for m in range(d)], units,
+                          _sq_decode(h)[0], D)
     terms3 = [(mask_dot, C)] + _leray_terms(grid, -mask_dot, 0, C[:d])
     L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
     return PsiFno(grid, np.eye(D, 2 * d), (L1, L2, L3), np.eye(d, D), _SIGMA.name,
@@ -528,7 +522,7 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
     K = darcy_mod.iteration_count(lam, N, k)
     M = _product_radius(N)
     grid = Grid(d, M)
-    D = 6 * d + 2
+    D = 4 * d + 4
 
     # calibration probes: coercive coefficients from the documented generator
     probes = [
@@ -559,13 +553,14 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
 
     def build(h: float, h_c: float) -> PsiFno:
         # block layer 2: products atilde * g_i plus the psi carry of atilde
-        L2 = _sigma_layer(D, [(0, 1 + i) for i in range(d)], [0], h, h_c)
+        L2, units, row_c = _sigma_layer(D, [(0, 1 + i) for i in range(d)], h, [0], h_c)
 
         # block layer 3: atilde carry + u update with the lifted source bias
         A_carry = np.zeros((D, D))
-        A_carry[0] = _psi_combine(6 * d, h_c, D)
+        A_carry[0] = _psi_combine(row_c, h_c, D)
         terms3 = [(mask_dot, A_carry)]
-        for i, row in enumerate(_product_sums([[p] for p in range(d)], _sq_decode(h)[0], D)):
+        rows = _product_sums([[p] for p in range(d)], units, _sq_decode(h)[0], D)
+        for i, row in enumerate(rows):
             A_i = np.zeros((D, D))
             A_i[1] = row
             terms3.append(((lat.ik[..., i] * lat.inv_k2) * mask_dot, A_i))
@@ -606,7 +601,7 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
     n_T = config.n_steps
     kap = ns.kappa0(config.T, config.tau, order=1)
     grid = Grid(d, 2 * N)
-    D = 6 * d * d + 2 * d
+    D = 4 * d * d + 4 * d
 
     # calibration probes and measured ranges / Lipschitz bound
     small = Grid(d, N)
@@ -644,9 +639,10 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
 
     def build(h: float, h_c: float) -> PsiFno:
         # sigma-layer: products u_i * g_{i,m} plus psi carry of u
-        L2 = _sigma_layer(D, [(i, row) for row, _, i in grads], range(d), h, h_c)
-        carry = np.array([_psi_combine(6 * d * d + 2 * c, h_c, D) for c in range(d)])
-        adv = _product_sums([[i * d + m for i in range(d)] for m in range(d)], _sq_decode(h)[0], D)
+        L2, units, row_c = _sigma_layer(D, [(i, row) for row, _, i in grads], h, range(d), h_c)
+        carry = np.array([_psi_combine(row_c + 2 * c, h_c, D) for c in range(d)])
+        adv = _product_sums([[i * d + m for i in range(d)] for m in range(d)], units,
+                            _sq_decode(h)[0], D)
 
         # F-layer: u rows get the carried u, w rows get F(w)
         A_u = np.zeros((D, D))
@@ -699,7 +695,7 @@ def _ft_net(N: int, d: int, h: float) -> PsiFno:
     K = len(ks)
     D = 8 * K + 2
     # sigma-layer: sq_h units of v cos<k,x> and v sin<k,x>
-    L1, units = _field_products(grid, D, [(0, f) for f in fields], h)
+    L1, units, _ = _sigma_layer(D, [(0, f) for f in fields], h, grid=grid)
 
     # zero-mode multiplier: averaging the products gives Re / -Im,
     # Re(v_k) = mean( v cos<k,x> ),  Im(v_k) = -mean( v sin<k,x> )
@@ -743,7 +739,7 @@ def _ift_net(N: int, d: int, h: float) -> PsiFno:
     K = len(ks)
     D = 12 * K
     # sigma-layer: sq_h units of w_{2t} cos<k_t,x> and w_{2t+1} sin<k_t,x>
-    L1, units = _field_products(grid, D, list(enumerate(fields)), h)
+    L1, units, _ = _sigma_layer(D, list(enumerate(fields)), h, grid=grid)
 
     # v = sum_k Re_k cos - Im_k sin; the constants of each cos/sin pair cancel: no bias
     combine = np.zeros((D, D))

@@ -257,7 +257,7 @@ class TestEmulatorSubcommands:
         out = tmp_path / "out"
         assert main(["darcy-emulate", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "darcy-emulate_summary.json").read_text())
-        assert summary["slopes"]["width_over_grid"] == [14.0, 14.0]
+        assert summary["slopes"]["width_over_grid"] == [12.0, 12.0]
         assert summary["pass"]["width_Nd_bounded"]
 
     def test_ns_emulate(self, tmp_path):

@@ -11,10 +11,9 @@ from psifno.emulation import (
     AffineApproxSpec,
     _calibrate,
     _calibrate_steps,
-    _field_products,
     _probe_error,
-    _product_units,
     _psi_decode,
+    _sigma_layer,
     _sq_decode,
     _sq_units,
     ProductNetSpec,
@@ -151,11 +150,10 @@ class TestGadget:
 
     @staticmethod
     def decoded_product(ab, h, act, x0):
-        """v_a * v_b decoded from the six _product_units, for each row (a, b) of ab."""
-        W, bias = np.zeros((6, 2)), np.zeros(6)
-        _product_units(W, bias, 0, 0, 1, h, x0)
+        """v_a * v_b decoded from the six units of one product, for each row (a, b) of ab."""
+        layer = _sigma_layer(6, [(0, 1)], h, x0=x0)[0]
         weights, const = _sq_decode(h, act, x0)
-        return act(ab @ W.T + bias) @ weights + const
+        return act(ab @ layer.weight[:, :2].T + layer.bias) @ weights + const
 
     @staticmethod
     def assert_second_order(errs):
@@ -175,13 +173,13 @@ class TestGadget:
         ])
 
     def test_product_units_layout(self):
-        W, bias = np.zeros((8, 3)), np.zeros(8)
-        _product_units(W, bias, 2, 0, 2, 0.5)
-        want = np.zeros((8, 3))
-        want[2:, 0] = [0.5, -0.5, 0.5, -0.5, 0.0, 0.0]
-        want[2:, 2] = [0.5, -0.5, 0.0, 0.0, 0.5, -0.5]
-        assert np.array_equal(W, want)
-        assert np.array_equal(bias, [0.0, 0.0] + [X0] * 6)
+        layer, units, row_c = _sigma_layer(6, [(0, 2)], 0.5)
+        want = np.zeros((6, 6))
+        want[:, 0] = [0.5, -0.5, 0.5, -0.5, 0.0, 0.0]
+        want[:, 2] = [0.5, -0.5, 0.0, 0.0, 0.5, -0.5]
+        assert np.array_equal(layer.weight, want)
+        assert np.array_equal(layer.bias, [X0] * 6)
+        assert units.tolist() == [[0, 1, 2, 3, 4, 5]] and row_c == 6
 
     @pytest.mark.parametrize("name", ["tanh", "gelu"])
     def test_shift_without_columns_decodes_its_square(self, name):
@@ -245,14 +243,14 @@ class TestGadget:
 
 
 class TestFieldProducts:
-    """The channel x field encoder of the coefficient networks."""
+    """_sigma_layer on channel x field products, the coefficient networks' layout."""
 
     GRID = Grid(1, 4)
     X = GRID.coordinates()[0]
     PRODUCTS = [(0, np.cos(X)), (0, np.sin(2 * X)), (1, 0.5 - np.cos(3 * X))]
 
     def test_layout(self):
-        layer, units = _field_products(self.GRID, 16, self.PRODUCTS, 0.5)
+        layer, units, _ = _sigma_layer(16, self.PRODUCTS, 0.5, grid=self.GRID)
         assert layer.d_v == 16 == 4 * 3 + 2 * 2
         assert isinstance(layer.bias, GridField) and layer.apply_activation
         # column 0's pair is written once, after every product's pairs
@@ -268,12 +266,52 @@ class TestFieldProducts:
                       np.linspace(1.2, -0.8, self.X.size)], axis=-1)
         errs = []
         for h in STEPS:
-            layer, units = _field_products(self.GRID, 16, self.PRODUCTS, h)
+            layer, units, _ = _sigma_layer(16, self.PRODUCTS, h, grid=self.GRID)
             out = act(v @ layer.weight[:, :2].T + layer.bias.values)
             weights, const = _sq_decode(h, act)
             errs.append(max(float(np.max(np.abs(out[:, u] @ weights + const - v[:, col] * f)))
                             for u, (col, f) in zip(units, self.PRODUCTS)))
         TestGadget.assert_second_order(errs)
+
+
+def _small_ns_config(d: int, N: int = 2, U: float = 0.5):
+    tau = 0.9 * ns.max_cfl_timestep(U, N, d)
+    u0 = ns.random_divergence_free(Grid(d, N), np.random.default_rng(0), norm=0.9 * U)
+    return ns.NsConfig(d=d, N=N, nu=0.05, T=2 * tau, tau=tau, U=U, u0=u0)
+
+
+# name -> (builder of a small network in dimension d, its lift); the Navier-Stokes
+# builders draw divergence-free probes, which one dimension lacks, so they run at d = 2, 3
+PAIR_BUILDERS = {
+    "darcy-emulator": (lambda d: build_darcy_emulator(
+        field_from_function(Grid(d, 4), lambda *x: np.cos(x[0]) + np.sin(2 * x[-1])),
+        0.5, 2, 1, B=2.0, eps=1e-2), lambda d: 4 * d + 4),
+    "ns-emulator": (lambda d: build_ns_emulator(_small_ns_config(d), eps_total=1e-2),
+                    lambda d: 4 * d * d + 4 * d),
+    "darcy-nonlinearity": (lambda d: build_nonlinearity_net_darcy(2, 1.0, 1e-2, d=d),
+                           lambda d: 4 * d + 2),
+    "ns-nonlinearity": (lambda d: build_ns_nonlinearity_net(2, 1.0, 1e-2, d=d),
+                        lambda d: 4 * d * d + 2 * d),
+}
+
+
+class TestEachPairWrittenOnce:
+    """Each unit pair sigma(x0 +- h y) of a sigma-layer is written once: an operand
+    shared by several products (a in the Darcy products a * g_i, each u_i in d NS
+    products) has one pair, so the lift is the count of distinct pairs."""
+
+    @pytest.mark.parametrize("name,d", [(name, d) for name in PAIR_BUILDERS
+                                        for d in ((2, 3) if name.startswith("ns") else (1, 2))])
+    def test_lift_counts_distinct_pairs(self, name, d):
+        build, lift = PAIR_BUILDERS[name]
+        net = build(d)
+        assert net.d_v == lift(d)
+        activated = {id(L): L for L in net.layers if L.apply_activation}.values()
+        assert activated
+        for layer in activated:
+            bias = layer.bias.values if isinstance(layer.bias, GridField) else layer.bias
+            rows = {(layer.weight[r].tobytes(), bias[..., r].tobytes()) for r in range(net.d_v)}
+            assert len(rows) == net.d_v
 
 
 class TestProductNet:
@@ -584,7 +622,7 @@ class TestForwardPlanOnEmulators:
         steps = net._plans[net.grid].steps
         # L1, L2, (L3, L1), and the last L2 and L3, which drop the atilde carry Q never reads
         assert len(steps) == 2 * K + 1 and len({id(s) for s in steps}) == 5
-        assert max(s.width for s in steps if not s.activated) == 3  # of 6d + 2 = 14 channels
+        assert max(s.width for s in steps if not s.activated) == 3  # of 4d + 4 = 12 channels
         save_model(net, tmp_path / "emulator.psifno")
         again = load_model(tmp_path / "emulator.psifno")
         assert len({id(L) for L in again.layers}) == 3

@@ -391,13 +391,23 @@ class TestGadgetDecoders:
 
 
 class TestOneFieldEncoder:
-    """In emulation.py the unit pairs are written only by the three encoders built on
-    _sq_units: one product, one sigma-layer of products and carries, and the
-    channel x field products of the coefficient networks."""
+    """In emulation.py the unit pairs are written only by _sigma_layer, the one encoder
+    built on _sq_units: channel x channel and channel x field products and carries."""
 
     def test_only_the_encoders_write_unit_pairs(self):
         writers = {fn for fn, _, _ in _transform_uses(Path(emulation.__file__), {"_sq_units"})}
-        assert writers == {"_product_units", "_field_products", "_sigma_layer"}
+        assert writers == {"_sigma_layer"}
+
+
+class TestNoAssertGuards:
+    """The package guards with typed errors, never assert, so no check disappears
+    under python -O."""
+
+    @pytest.mark.parametrize("path", TestTransformKernels.SOURCES, ids=lambda p: p.name)
+    def test_no_assert_statement(self, path):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"assert statements in {path.name} at lines {lines}"
 
 
 def _multiplier_rebuilders(path: Path) -> list:
