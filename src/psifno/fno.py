@@ -32,8 +32,12 @@ contracted pointwise onto the few vectors the multiplier reads
 transforms, multiplied by mode arrays summed once per (vector, output
 row) pair, and only the live rows come back to grid space.  The half
 spectrum stands for its conjugate-symmetric extension, which is why every
-layer's conjugacy is checked when the plan compiles.  layer_forward is
-the one-layer step with every channel, cached on the layer.
+layer's conjugacy is checked when the plan compiles.  A multiplier that
+is zero away from k = 0 is P(0) applied to the grid mean, with no
+transform, and a spatially constant channel is computed at one point and
+spread over the grid only where a field bias, a wider multiplier or the
+output needs it.  layer_forward is the one-layer step with every channel,
+cached on the layer.
 FourierMultiplier.apply still acts on the full centered spectrum of
 spectral.dft; only the tests' reference forward calls it.
 """
@@ -321,6 +325,10 @@ class _Convolution:
     the live channels and the pair's mode array is the per-mode matrix
     entry P(k)[r, c].  Pair p adds modes[..., p] * F(z)[..., pick[p]] to
     its row; pairs are sorted by row and starts marks each row's first pair.
+    A zero-mode multiplier (every mode array zero away from k = 0) makes
+    F^-1(P F x) the grid mean of x times P(0), and so does any multiplier
+    on a constant x, which arrives as one point: either is computed at one
+    point, with no transform.
     """
 
     def __init__(self, terms, n_in: int):
@@ -335,7 +343,7 @@ class _Convolution:
                 for r in np.flatnonzero(np.any(A.real != 0, axis=1)):
                     j = vectors.setdefault((A.real[r] + 0.0).tobytes(), len(vectors))
                     pairs[r, j] = pairs[r, j] + s if (r, j) in pairs else s
-            M = np.array([np.frombuffer(v) for v in vectors]).reshape(-1, n_in)
+            M = np.array([np.frombuffer(v) for v in vectors]).reshape(len(vectors), n_in)
         if not real or len(vectors) > cols.size:
             pairs = {}
             for s, A in terms:
@@ -353,15 +361,22 @@ class _Convolution:
         self.pick = np.array([j for _, j in keys])
         self.M = M
         self.modes = np.stack([pairs[k] for k in keys], axis=-1)
+        self.zero_mode = not np.any(self.modes.reshape(-1, self.size)[1:])  # flat index 0 is k = 0
+        self.at_zero = self.modes[(0,) * (self.modes.ndim - 1)].real
 
     def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out[..., rows] += F^-1(P F x) for grid values x."""
+        """out[..., rows] += F^-1(P F x) for grid values x, or for the one point
+        of a constant x; out may be one point when the result is constant."""
         d = self.modes.ndim - 1
-        z_hat = _rfft_half(x @ self.M.T, d)
-        prod = z_hat[..., self.pick] * self.modes
-        if self.rows.size < self.size:
-            prod = np.add.reduceat(prod, self.starts, axis=-1)
-        out[..., self.rows] += _irfft_values(prod, d)
+        if self.zero_mode or x.shape[0] == 1:  # F^-1(P F x) = P(0) mean(x)
+            z = np.mean(x, axis=tuple(range(d)), keepdims=True) @ self.M.T
+            out[..., self.rows] += self._row_sums(z[..., self.pick] * self.at_zero)
+        else:
+            prod = _rfft_half(x @ self.M.T, d)[..., self.pick] * self.modes
+            out[..., self.rows] += _irfft_values(self._row_sums(prod), d)
+
+    def _row_sums(self, prod: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(prod, self.starts, axis=-1) if self.rows.size < self.size else prod
 
 
 class _Step:
@@ -371,6 +386,11 @@ class _Step:
     Input and output hold only those channels, in that order; the weight,
     the bias and the multiplier matrices keep only the rows and columns
     between them, and the convolution only its live rows (see _Convolution).
+    A spatially constant input or output is held as one point, shape
+    (1,)*d + (channels,): a step with no weight, no field bias and no
+    convolution beyond the zero mode (a grid mean) returns its constant
+    output so, and a constant input is carried at one point until a field
+    bias or a convolution beyond the zero mode spreads it over the grid.
     """
 
     def __init__(self, affine: tuple, rows: np.ndarray, cols: np.ndarray, activated: bool):
@@ -383,15 +403,18 @@ class _Step:
             self.bias = np.ascontiguousarray(bias[..., rows])
         conv = _Convolution([(s, A[block]) for s, A in terms if np.any(A[block])], cols.size)
         self.conv = conv if conv.size else None
+        self.spreads = self.conv is not None and not self.conv.zero_mode
 
     def __call__(self, v: np.ndarray, act: Activation) -> np.ndarray:
         if self.weight is None:
-            pre = np.zeros(v.shape[:-1] + (self.width,))
+            pre = np.zeros((v.shape[:-1] if self.spreads else (1,) * (v.ndim - 1)) + (self.width,))
         else:
             pre = v @ self.weight
         if self.conv is not None:
             self.conv(v, pre)
-        if self.bias is not None:
+        if self.bias is not None and pre.size < self.bias.size:
+            pre = pre + self.bias  # a field bias spreads a one-point pre over the grid
+        elif self.bias is not None:
             pre += self.bias
         return act(pre) if self.activated else pre
 
@@ -409,7 +432,21 @@ def layer_forward(layer: FnoLayer, v: GridField, act: Activation) -> GridField:
         every = np.arange(layer.d_v)
         step = layer._steps[v.grid] = _Step(_layer_affine(layer, v.grid), every, every,
                                             layer.apply_activation)
-    return GridField(v.grid, step(v.values, act))
+    return _as_field(v.grid, step(v.values, act))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, checked as GridField checks the values of a field."""
+    if not np.all(np.isfinite(values)):
+        raise BadParameters("field values must be finite")
+    return values
+
+
+def _as_field(grid: Grid, values: np.ndarray) -> GridField:
+    """A step's values as a GridField, a one-point (constant) array spread over the grid."""
+    if values.shape[:-1] != grid.shape:
+        values = np.broadcast_to(values, grid.shape + values.shape[-1:]).copy()
+    return GridField(grid, values)
 
 
 @dataclass(frozen=True)
@@ -496,10 +533,10 @@ class _Plan:
         self.lifting = net.lifting[rows]
 
     def __call__(self, a: GridField, act: Activation) -> GridField:
-        v = GridField(a.grid, a.values @ self.lifting.T)
+        v = _finite(a.values @ self.lifting.T)
         for step in self.steps:
-            v = GridField(a.grid, step(v.values, act))
-        return GridField(a.grid, v.values @ self.projection.T)
+            v = _finite(step(v, act))
+        return _as_field(a.grid, v @ self.projection.T)
 
 
 def fno_forward(net: PsiFno, a: GridField) -> GridField:

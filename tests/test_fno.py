@@ -736,6 +736,23 @@ def plan_net(grid: Grid, pattern: str, rng, d_v: int = 4) -> PsiFno:
 PATTERNS = ["ff", "fff", "sffs", "ffsfffs", "sfsff", "fsfffsf"]
 
 
+def count_transforms(monkeypatch) -> list:
+    """Record the name of each real transform the compiled forward makes."""
+    import psifno.fno
+
+    calls = []
+    for name in ("_rfft_half", "_irfft_values"):
+        real = getattr(psifno.fno, name)
+        monkeypatch.setattr(psifno.fno, name,
+                            lambda *x, real=real, name=name: calls.append(name) or real(*x))
+    return calls
+
+
+def zero_mode_multiplier(d: int, d_v: int, rng) -> FourierMultiplier:
+    """A radius-0 multiplier: P(k) = 0 away from k = 0, a real P(0)."""
+    return FourierMultiplier(d, 0, [(np.ones((1,) * d), rng.standard_normal((d_v, d_v)))], d_v)
+
+
 class TestForwardPlan:
     """The network plan: activation-free runs fused into one step, only needed channels."""
 
@@ -818,6 +835,62 @@ class TestForwardPlan:
         fno_forward(net, a)
         assert len(calls) == 5  # L1, (L3, L1) x 3, L3 against 8 layer transforms
 
+    def test_zero_mode_forwards_make_no_transform(self, monkeypatch):
+        from psifno.emulation import build_ft_emulator, build_ift_emulator
+
+        rng = np.random.default_rng(86)
+        for d in (1, 2):
+            g = Grid(d, 2)
+            ft = build_ft_emulator(2, B=1.0, eps=1e-3, d=d)
+            pipe = compose(build_ift_emulator(2, B=1.0, eps=1e-3, d=d), ft)
+            calls = count_transforms(monkeypatch)
+            for net in (ft, pipe):
+                out = fno_forward(net, random_field(g, rng)).values
+                assert out.shape == g.shape + (net.d_u,)
+            assert calls == []
+            radius_N = PsiFno(g, np.eye(2, 1), (random_layer(g, 2, rng),), np.eye(1, 2))
+            fno_forward(radius_N, random_field(g, rng))
+            assert calls == ["_rfft_half", "_irfft_values"]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("spread", [True, False])
+    def test_constant_channels_travel_as_one_point(self, monkeypatch, spread):
+        # the zero-mode layer's output is constant, so the σ-layer's weight acts at
+        # one point and its field bias spreads the result over the grid; with that
+        # bias only on a channel the radius-N layer does not read, the radius-N layer
+        # gets a constant input and transforms nothing
+        g = Grid(2, 3)
+        rng = np.random.default_rng(87)
+        d_v = 3
+        zero = FnoLayer(d_v, None, rng.standard_normal(d_v), zero_mode_multiplier(2, d_v, rng),
+                        False)
+        field = random_field(g, rng, channels=d_v).values
+        if not spread:
+            field[..., :2] = 0.0
+        sigma = FnoLayer(d_v, rng.standard_normal((d_v, d_v)), GridField(g, field), None, True)
+        A = rng.standard_normal((d_v, d_v)) * [1.0, 1.0, 0.0]  # reads channels 0 and 1
+        wide = FnoLayer(d_v, None, None, FourierMultiplier(2, 3, [(hermitian_modes(2, 3, rng), A)],
+                                                           d_v), False)
+        net = PsiFno(g, rng.standard_normal((d_v, 1)), (zero, sigma, wide),
+                     rng.standard_normal((1, d_v)), "gelu")
+        a = random_field(g, rng)
+        calls = count_transforms(monkeypatch)
+        out = fno_forward(net, a).values
+        assert out.shape == g.shape + (1,)
+        assert rel_err(out, reference_forward(net, a).values) < 1e-12
+        assert calls == (["_rfft_half", "_irfft_values"] if spread else [])
+
+    def test_zero_mode_layer_forward_fills_the_grid(self):
+        g = Grid(2, 2)
+        rng = np.random.default_rng(88)
+        layer = FnoLayer(2, None, rng.standard_normal(2), zero_mode_multiplier(2, 2, rng), True)
+        v = random_field(g, rng, channels=2)
+        act = activation("tanh")
+        out = layer_forward(layer, v, act).values
+        assert out.shape == g.shape + (2,)
+        assert rel_err(out, reference_layer_forward(layer, v, act).values) < 1e-12
+        assert np.ptp(out.reshape(-1, 2), axis=0).max() == 0.0
+
     def test_every_fused_layer_is_checked(self):
         g = Grid(2, 2)
         bad = non_conjugate_net(g).layers[0]
@@ -834,3 +907,23 @@ class TestForwardPlan:
         net = PsiFno(g, np.eye(1), (big, big), np.eye(1))
         with pytest.raises(BadParameters, match="finite"):
             fno_forward(net, random_field(g, np.random.default_rng(85)))
+
+    def test_layer_that_reads_no_channel(self):
+        # a bias-only layer leaves the lifting no channel to compute
+        g = Grid(1, 2)
+        net = PsiFno(g, np.eye(1), (FnoLayer(1, None, np.array([0.5]), None, True),), np.eye(1))
+        out = fno_forward(net, random_field(g, np.random.default_rng(90))).values
+        assert np.array_equal(out, np.full(g.shape + (1,), np.tanh(0.5)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_one_point_overflow_is_caught(self):
+        # the constant step's overflow must raise, though the tanh after it would hide it
+        g = Grid(2, 2)
+        const = FnoLayer(2, None, np.array([5.0, 5.0]), None, True)
+        big = FnoLayer(2, np.full((2, 2), 1e308), None, None, False)
+        saturate = FnoLayer(2, np.eye(2), None, None, True)
+        net = PsiFno(g, np.eye(2, 1), (const, big, saturate), np.eye(1, 2))
+        with pytest.raises(BadParameters, match="finite"):
+            fno_forward(net, random_field(g, np.random.default_rng(89)))
+        first = net._plans[g].steps[0]
+        assert first(np.zeros(g.shape + (0,)), activation("tanh")).shape == (1, 1, 2)
