@@ -25,19 +25,19 @@ fno_forward runs a plan compiled once per network and cached on it.  Each
 activated layer is one step, and each maximal run of activation-free
 layers is fused into one step, since affine maps with multipliers compose
 mode by mode (the I_N between them is a no-op on grid data).  Working back
-from Q, every step computes only the channels the next step reads, and
-the lifting only those the first step reads.  Within a step the input is
+from Q, every step computes only the channels the next step reads, and the
+lifting only those the first step reads.  Within a step the input is
 contracted pointwise onto the few vectors the multiplier reads
-(F(v) A^T = F(v A^T)), those are sent through the real half-spectrum
-transforms, multiplied by mode arrays summed once per (vector, output
-row) pair, and only the live rows come back to grid space.  The half
-spectrum stands for its conjugate-symmetric extension, which is why every
-layer's conjugacy is checked when the plan compiles.  A multiplier that
-is zero away from k = 0 is P(0) applied to the grid mean, with no
-transform, and a spatially constant channel is computed at one point and
-spread over the grid only where a field bias, a wider multiplier or the
-output needs it.  layer_forward is the one-layer step with every channel,
-cached on the layer.
+(F(v) A^T = F(v A^T)), those go through the real half-spectrum transforms,
+each live row sums its vectors' products with mode arrays into one half
+spectrum, and only the live rows come back to grid space, as the
+pre-activation itself when there is no weight.  The half spectrum stands
+for its conjugate-symmetric extension, so every layer's conjugacy is
+checked when the plan compiles.  A multiplier that is zero away from k = 0
+is P(0) applied to the grid mean, with no transform, and a spatially
+constant channel is computed at one point and spread over the grid only
+where a field bias, a wider multiplier or the output needs it.
+layer_forward, the one-layer step with every channel, is cached on the layer.
 FourierMultiplier.apply still acts on the full centered spectrum of
 spectral.dft; only the tests' reference forward calls it.
 """
@@ -297,7 +297,7 @@ def _then(a: tuple, b: tuple) -> tuple:
             parts.append(sum(r[(0,) * r.ndim] * (B @ ba) for r, B in Tb).real)
         elif Tb:
             conv, out = _Convolution(Tb, ba.shape[-1]), np.zeros_like(ba)
-            conv(ba, out)
+            out[..., conv.rows] = conv(ba)
             parts.append(out)
         for part in parts:
             bias = part if bias is None else bias + part
@@ -323,12 +323,12 @@ class _Convolution:
     sums the s_t of every term whose row r is M[j]; otherwise, or when
     that gives more vectors than there are live input channels, M selects
     the live channels and the pair's mode array is the per-mode matrix
-    entry P(k)[r, c].  Pair p adds modes[..., p] * F(z)[..., pick[p]] to
-    its row; pairs are sorted by row and starts marks each row's first pair.
+    entry P(k)[r, c].  The live rows, ordered by their number of pairs, add
+    their pairs' F(z)[..., j] * s into their slots of one half spectrum.
     A zero-mode multiplier (every mode array zero away from k = 0) makes
     F^-1(P F x) the grid mean of x times P(0), and so does any multiplier
     on a constant x, which arrives as one point: either is computed at one
-    point, with no transform.
+    point, with no transform, by the same row sums with P(0) for the modes.
     """
 
     def __init__(self, terms, n_in: int):
@@ -355,28 +355,38 @@ class _Convolution:
         self.size = len(keys)
         if not keys:
             return
-        row_of = np.array([r for r, _ in keys])
-        self.rows = np.unique(row_of)
-        self.starts = np.searchsorted(row_of, self.rows)
-        self.pick = np.array([j for _, j in keys])
-        self.M = M
-        self.modes = np.stack([pairs[k] for k in keys], axis=-1)
+        by_row = [[key for key in keys if key[0] == r] for r in np.unique([r for r, _ in keys])]
+        by_row.sort(key=len)  # stable: lane c, term c of every row that has one, is a suffix
+        self.rows = np.array([g[0][0] for g in by_row])
+        lanes = [[g[c] for g in by_row if len(g) > c] for c in range(len(by_row[-1]))]
+        e = np.cumsum([0] + [len(lane) for lane in lanes])  # lane c is pairs e[c]:e[c + 1]
+        self.folds = [(e[2], e[c], e[c + 1] - e[c]) for c in range(2, len(lanes))]  # onto lane 1
+        self.folds += [(e[1], e[1], e[2] - e[1])] if len(lanes) > 1 else []  # lane 1 onto lane 0
+        self.pick = [j for lane in lanes for _, j in lane]
+        self.M = M  # C-ordered; contracted as M x^T, faster than x @ M.T and with its bits
+        self.modes = np.stack([pairs[key] for lane in lanes for key in lane], axis=-1)
         self.zero_mode = not np.any(self.modes.reshape(-1, self.size)[1:])  # flat index 0 is k = 0
         self.at_zero = self.modes[(0,) * (self.modes.ndim - 1)].real
 
-    def __call__(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out[..., rows] += F^-1(P F x) for grid values x, or for the one point
-        of a constant x; out may be one point when the result is constant."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """F^-1(P F x) on the live rows; one point when x or the result is constant."""
         d = self.modes.ndim - 1
         if self.zero_mode or x.shape[0] == 1:  # F^-1(P F x) = P(0) mean(x)
-            z = np.mean(x, axis=tuple(range(d)), keepdims=True) @ self.M.T
-            out[..., self.rows] += self._row_sums(z[..., self.pick] * self.at_zero)
-        else:
-            prod = _rfft_half(x @ self.M.T, d)[..., self.pick] * self.modes
-            out[..., self.rows] += _irfft_values(self._row_sums(prod), d)
+            x = np.mean(x, axis=tuple(range(d)), keepdims=True)
+        z = (self.M @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape[:-1] + (-1,))  # x M^T
+        if x.shape[0] == 1:
+            return self._mode_sums(z, self.at_zero)
+        z = self._mode_sums(_rfft_half(z, d), self.modes)  # x M^T is freed before the inverse
+        return _irfft_values(z, d)
 
-    def _row_sums(self, prod: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(prod, self.starts, axis=-1) if self.rows.size < self.size else prod
+    def _mode_sums(self, F: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        """Each row's terms F[..., j] * s, lane by lane, summed in place onto its slot in
+        lane 0 as t0 + ((t1 + t2) + t3), the order of numpy's add reduction to four terms."""
+        terms = F[..., self.pick]
+        terms *= modes
+        for dst, src, n in self.folds:  # each lane onto the last n slots of the one before
+            terms[..., dst - n : dst] += terms[..., src : src + n]
+        return terms[..., : self.rows.size]
 
 
 class _Step:
@@ -386,6 +396,7 @@ class _Step:
     Input and output hold only those channels, in that order; the weight,
     the bias and the multiplier matrices keep only the rows and columns
     between them, and the convolution only its live rows (see _Convolution).
+    A weight-free step whose convolution writes every row takes its output as pre.
     A spatially constant input or output is held as one point, shape
     (1,)*d + (channels,): a step with no weight, no field bias and no
     convolution beyond the zero mode (a grid mean) returns its constant
@@ -397,21 +408,25 @@ class _Step:
         W, bias, terms = affine
         self.cols, self.width, self.activated = cols, rows.size, activated
         block = np.ix_(rows, cols)
-        self.weight = W[block].T if W is not None and np.any(W[block]) else None
+        self.weight = W[block].T.copy() if W is not None and np.any(W[block]) else None  # C-ordered
         self.bias = None
         if bias is not None and np.any(bias[..., rows]):
             self.bias = np.ascontiguousarray(bias[..., rows])
         conv = _Convolution([(s, A[block]) for s, A in terms if np.any(A[block])], cols.size)
         self.conv = conv if conv.size else None
         self.spreads = self.conv is not None and not self.conv.zero_mode
+        every = conv.size > 0 and np.array_equal(conv.rows, np.arange(rows.size))
+        self.direct = self.weight is None and every
 
     def __call__(self, v: np.ndarray, act: Activation) -> np.ndarray:
-        if self.weight is None:
+        if self.direct:
+            pre = self.conv(v)
+        elif self.weight is None:
             pre = np.zeros((v.shape[:-1] if self.spreads else (1,) * (v.ndim - 1)) + (self.width,))
         else:
             pre = v @ self.weight
-        if self.conv is not None:
-            self.conv(v, pre)
+        if self.conv is not None and not self.direct:
+            pre[..., self.conv.rows] += self.conv(v)
         if self.bias is not None and pre.size < self.bias.size:
             pre = pre + self.bias  # a field bias spreads a one-point pre over the grid
         elif self.bias is not None:
@@ -513,7 +528,7 @@ class _Plan:
                 runs.append([layer])
         affines, steps = {}, {}
         rows = np.flatnonzero(np.any(net.projection != 0, axis=0))
-        self.projection = net.projection[:, rows]
+        self.projection = np.ascontiguousarray(net.projection[:, rows].T).T  # C-ordered .T
         self.steps = []  # last step first until the loop ends
         for run in reversed(runs):
             ids = tuple(map(id, run))
@@ -530,7 +545,7 @@ class _Plan:
             self.steps.append(step)
             rows = step.cols
         self.steps.reverse()
-        self.lifting = net.lifting[rows]
+        self.lifting = np.ascontiguousarray(net.lifting[rows].T).T
 
     def __call__(self, a: GridField, act: Activation) -> GridField:
         v = _finite(a.values @ self.lifting.T)

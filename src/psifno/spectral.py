@@ -427,15 +427,15 @@ def resample(f: GridField, M: int) -> GridField:
         return GridField(g, f.values.copy())
     if M > g.N:
         return GridField(Grid(g.d, M), _on_grid(_rfft_half(f.values, g.d), g.d, M, g.npoints))
-    m = 2 * M + 1
-    k = np.arange(g.N + 1)
-    up, down = k % m, (-k[1:]) % m  # residues of the modes k >= 0 and -k < 0
+    m, N = 2 * M + 1, g.N
     v = f.values
     for _ in range(g.d):  # fold axis 0 modulo 2M+1, then move it last among the grid axes
         half = _rfft_half(v, 1)
         folded = np.zeros((M + 1,) + half.shape[1:], dtype=complex)
-        np.add.at(folded, up[up <= M], half[up <= M])
-        np.add.at(folded, down[down <= M], np.conj(half[1:][down <= M]))
+        for w in range(0, N + 1, m):  # the modes w + r, r = 0..M, land on r
+            folded[: min(M, N - w) + 1] += half[w : w + M + 1]
+        for w in range(m, N + M + 1, m):  # the modes -(w - r) land on r, as conj(half[w - r])
+            folded[max(w - N, 0) :] += np.conj(half[min(w, N) : w - M - 1 : -1])
         v = np.moveaxis(_irfft_values(folded, 1) * (m / g.npoints), 0, g.d - 1)
     return GridField(Grid(g.d, M), v)
 

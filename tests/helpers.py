@@ -7,7 +7,8 @@ evaluator is the full-spectrum path the compiled forward replaced: it
 shares only the checked public transforms with the package.  The layer
 prober builds a layer's dense matrix one unit vector at a time, without
 assuming shift equivariance.  The two solver loops at the end are the
-solvers' first forms, which the shortcuts they took since must reproduce.
+solvers' first forms, which the shortcuts they took since must reproduce,
+and resample_add_at is the resample fold that slice adds replaced.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from scipy.signal import convolve
 from psifno.darcy import PicardOperator
 from psifno.fno import FnoLayer, FourierMultiplier, PsiFno, activation, layer_forward
 from psifno.navier_stokes import _STALL_RTOL
-from psifno.spectral import (Grid, GridField, SpectralCoeffs, dft, idft, random_field,
-                            random_hermitian_coeffs, resample, sobolev_norm)
+from psifno.spectral import (Grid, GridField, SpectralCoeffs, _irfft_values, _rfft_half, dft,
+                            idft, random_field, random_hermitian_coeffs, resample, sobolev_norm)
 
 
 def mode_list(grid: Grid) -> np.ndarray:
@@ -100,6 +101,24 @@ def convolution_truncated(cu: np.ndarray, cv: np.ndarray, N: int) -> np.ndarray:
     d = cu.ndim
     center = tuple(slice(N, 3 * N + 1) for _ in range(d))
     return full[center]
+
+
+def resample_add_at(f: GridField, M: int) -> np.ndarray:
+    """Values of resample(f, M) for M < N through the fold it first used: np.add.at of
+    every positive mode onto its residue modulo 2M + 1, then of every conjugated
+    negative mode, each in ascending |k|, one grid axis at a time."""
+    g = f.grid
+    m = 2 * M + 1
+    k = np.arange(g.N + 1)
+    up, down = k % m, (-k[1:]) % m  # residues of the modes k >= 0 and -k < 0
+    v = f.values
+    for _ in range(g.d):
+        half = _rfft_half(v, 1)
+        folded = np.zeros((M + 1,) + half.shape[1:], dtype=complex)
+        np.add.at(folded, up[up <= M], half[up <= M])
+        np.add.at(folded, down[down <= M], np.conj(half[1:][down <= M]))
+        v = np.moveaxis(_irfft_values(folded, 1) * (m / g.npoints), 0, g.d - 1)
+    return v
 
 
 def rel_err(a, b) -> float:

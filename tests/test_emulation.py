@@ -676,6 +676,25 @@ class TestNsEmulator:
         assert net.depth == 3 * cfg.n_steps * kap
 
 
+def test_emulator_plans_keep_matmul_operands_c_ordered(darcy_emulator_small):
+    # an F-ordered transpose as a matmul operand doubled the cost of these products
+    darcy, _, N, lam, _ = darcy_emulator_small
+    u0 = ns.taylor_green(0.05, 0.0, 8, amplitude=0.1)  # the ns-emu-n8 benchmark settings
+    U = 2.0 * l2_norm(u0)
+    tau = 0.9 * ns.max_cfl_timestep(U, 8, 2)
+    cfg = ns.NsConfig(d=2, N=8, nu=0.05, T=4 * tau, tau=tau, U=U, u0=u0)
+    navier = build_ns_emulator(cfg, eps_total=1e-3, rng=np.random.default_rng(800))
+    a = dm.random_decay_coefficient(2, 2 * N, lam, np.random.default_rng(140))
+    for net, inp in ((darcy, a), (navier, u0)):
+        fno_forward(net, inp)
+        plan = net._plans[net.grid]
+        weights = [s.weight for s in plan.steps if s.weight is not None]
+        contractions = [s.conv.M for s in plan.steps if s.conv is not None]
+        assert weights and contractions
+        for operand in weights + contractions + [plan.lifting.T, plan.projection.T]:
+            assert operand.flags.c_contiguous
+
+
 class TestFtIftEmulators:
     def test_constant_field_coefficients(self):
         net = build_ft_emulator(2, B=2.0, eps=1e-3, d=1)

@@ -662,6 +662,61 @@ class TestCompiledForward:
         conv = layer._steps[g].conv
         assert conv.M.shape == (1, 4) and list(conv.rows) == [1, 2]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_of_one_to_five_pairs(self, d):
+        # real A_t: row r reads the vectors u_0..u_{r-1}, so rows 1-4 sum 1, 2, 3 and
+        # 4 pairs, and flipped, rows 0-3 sum 4, 3, 2 and 1 (their slots run 3, 2, 1, 0);
+        # complex A_t take the per-mode-matrix path, 5 pairs on every row
+        g = Grid(d, 3)
+        rng = np.random.default_rng(120 + d)
+        d_v = 5
+        u = rng.standard_normal((4, d_v))
+        modes = [hermitian_modes(d, 3, rng) for _ in range(4)]
+        up, down = (np.zeros((4, d_v, d_v)) for _ in range(2))
+        for t in range(4):
+            up[t, t + 1:] = down[t, : 4 - t] = u[t]
+        layers = [FnoLayer(d_v, None, None, FourierMultiplier(d, 3, list(zip(modes, A)), d_v),
+                           False) for A in (up, down)]
+        layers.append(FnoLayer(d_v, None, None, complex_matrix_multiplier(d, 3, d_v, rng), False))
+        v = random_field(g, rng, channels=d_v)
+        act = activation("tanh")
+        for layer, pairs, longest, rows in zip(layers, (10, 10, 25), (4, 4, 5),
+                                               ([1, 2, 3, 4], [3, 2, 1, 0], [0, 1, 2, 3, 4])):
+            want = reference_layer_forward(layer, v, act).values
+            assert rel_err(layer_forward(layer, v, act).values, want) < 1e-12
+            conv = layer._steps[g].conv
+            assert (conv.size, len(conv.folds) + 1, list(conv.rows)) == (pairs, longest, rows)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_direct_and_scattered_writes_agree_exactly(self, d):
+        # with no weight and every row live the inverse transform is the pre-activation;
+        # the padded copy's dead row sends the same convolution through zeros and a scatter
+        g = Grid(d, 3)
+        rng = np.random.default_rng(130 + d)
+        d_v = 3
+        terms = [(hermitian_modes(d, 3, rng), rng.standard_normal((d_v, d_v))) for _ in range(2)]
+        layer = FnoLayer(d_v, None, random_field(g, rng, channels=d_v),
+                         FourierMultiplier(d, 3, terms, d_v), True)
+        wide = layer.padded(d_v + 1)
+        v = random_field(g, rng, channels=d_v)
+        v_wide = GridField(g, np.concatenate([v.values, np.zeros(g.shape + (1,))], axis=-1))
+        act = activation("tanh")
+        got = layer_forward(layer, v, act).values
+        want = layer_forward(wide, v_wide, act).values
+        assert layer._steps[g].direct and not wide._steps[g].direct
+        assert np.array_equal(got, want[..., :d_v])
+        kept = got.copy()
+        got[...] = 7.0  # the returned values share no buffer with the step
+        assert np.array_equal(layer_forward(layer, v, act).values, kept)
+        net = PsiFno(g, np.eye(d_v, 1), (FnoLayer(d_v, None, None, layer.multiplier, False),),
+                     np.eye(1, d_v))
+        a = random_field(g, rng)
+        out = fno_forward(net, a).values
+        kept = out.copy()
+        out[...] = 7.0
+        assert np.array_equal(fno_forward(net, a).values, kept)
+        assert net._plans[g].steps[0].direct
+
     @pytest.mark.parametrize("d,N", [(1, 4), (2, 3), (3, 2)])
     def test_networks_match_reference(self, d, N):
         g = Grid(d, N)

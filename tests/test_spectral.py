@@ -46,6 +46,7 @@ from helpers import (
     inverse_laplacian_oracle,
     naive_dft,
     rel_err,
+    resample_add_at,
 )
 
 
@@ -240,6 +241,17 @@ class TestResample:
             *[coarse.axis_coordinates()] * d, indexing="ij")], axis=-1)
         want = evaluate(f, pts).reshape(coarse.shape + (channels,))
         assert rel_err(resample(f, M).values, want) < 1e-12
+
+    @pytest.mark.parametrize("N,M,wraps", [
+        (64, 52, False), (64, 32, False), (8, 4, False), (64, 10, True), (64, 3, True),
+        (13, 2, True), (5, 1, True), (100, 49, True)])
+    def test_fold_matches_add_at_oracle(self, N, M, wraps):
+        # when N >= 2M + 1 the modes wrap more than once, so residues repeat in np.add.at
+        assert (N >= 2 * M + 1) == wraps
+        rng = np.random.default_rng(N + M)
+        for d in (1, 2):
+            f = random_field(Grid(d, N), rng, channels=2)
+            assert np.array_equal(resample(f, M).values, resample_add_at(f, M))
 
     def test_projection_error_decays_spectrally(self):
         # ||(1-P_M) f||_L2 <= C M^-s for |coeffs| = (1+|k|)^-(s+d/2+0.5)
