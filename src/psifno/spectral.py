@@ -12,10 +12,10 @@ is exact (an FFT reordering), so projections, derivatives, inverse
 Laplacians, Leray projection and Sobolev norms are all evaluated without
 discretization error on band-limited data; products of two degree-N
 polynomials are exact on the grid of _product_radius (>= 3N+1 points per
-axis, the 3/2 rule) followed by truncation.  The centered coefficients
-(SpectralCoeffs, dft/idft) serve the callers that ask for coefficients:
-project, evaluate and the random draws.  Everything else runs on one real
-transform pair, _rfft_half/_irfft_values, in the half-spectrum layout.
+axis, the 3/2 rule) followed by truncation.  Every transform runs on one
+real pair, _rfft_half/_irfft_values, in the half-spectrum layout; dft/idft
+extend it by conjugate symmetry to the centered SpectralCoeffs that project,
+evaluate and the random draws ask for.
 
 All operations are pure functions of immutable inputs; 64-bit floats
 throughout.
@@ -54,10 +54,11 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise BadParameters(f"spatial dimension must be a positive integer, got {self.d}")
-        if self.N < 1 or int(self.N) != self.N:
-            raise BadParameters(f"mode radius must be a positive integer, got {self.N}")
+        for name, what in (("d", "spatial dimension"), ("N", "mode radius")):
+            v = getattr(self, name)
+            if v < 1 or v % 1:  # nan and inf leave a nonzero (nan) remainder
+                raise BadParameters(f"{what} must be a positive integer, got {v}")
+            object.__setattr__(self, name, int(v))  # 4.0 passes, but cannot size an array
 
     @property
     def npoints(self) -> int:
@@ -215,9 +216,9 @@ class SobolevIndex:
 def dft(f: GridField) -> SpectralCoeffs:
     """Forward transform; normalization (2N+1)^-d on this side, none on idft.
 
-    The input is real, so the exact transform is conjugate-symmetric; the
-    antisymmetric residue of the FFT (pure round-off) is projected out,
-    making the symmetry invariant hold exactly.
+    The coefficients extend the real half spectrum by conjugate symmetry, which is
+    then exact except on the k_{d-1} = 0 plane; there the antisymmetric round-off
+    is projected out, so the symmetry invariant holds exactly.
     """
     axes = tuple(range(f.grid.d))
     c = _fft_coeffs(f.values, f.grid.d)
@@ -226,49 +227,43 @@ def dft(f: GridField) -> SpectralCoeffs:
 
 
 def idft(c: SpectralCoeffs) -> GridField:
-    """Inverse transform f_j = sum_k c_k exp(i<x_j,k>); returns the real part.
+    """Inverse transform f_j = sum_k c_k exp(i<x_j,k>) of conjugate-symmetric coefficients.
 
-    Raises HermitianViolation when the coefficients fail conjugate symmetry
-    beyond tolerance, or the inverse transform leaves an imaginary residue
-    beyond IMAG_RESIDUE_RTOL.
+    The field is read from the k_{d-1} >= 0 half, so it is real by
+    construction.  Raises HermitianViolation when the coefficients fail
+    conjugate symmetry by more than 2 * IMAG_RESIDUE_RTOL relative: the
+    imaginary residue that the dropped antisymmetric part would leave.
     """
     g = c.grid
     defect = hermitian_defect(c.coeffs, g.d)
     scale = np.max(np.abs(c.coeffs)) or 1.0
-    if defect > 1e-9 * scale:
+    if defect > 2 * IMAG_RESIDUE_RTOL * scale:
         raise HermitianViolation(
             f"cannot produce a real field: symmetry defect {defect:.3e} (scale {scale:.3e})"
         )
-    v = _ifft_values(c.coeffs, g.d)
-    imag = np.max(np.abs(v.imag))
-    scale = np.max(np.abs(v.real)) or 1.0
-    if imag > IMAG_RESIDUE_RTOL * scale + 1e-14:
-        raise HermitianViolation(
-            f"imaginary residue {imag:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} relative"
-        )
-    return GridField(g, v.real)
+    return GridField(g, _ifft_values(c.coeffs, g.d))
 
 
 def _fft_coeffs(values: np.ndarray, d: int) -> np.ndarray:
-    """Forward transform kernel: centered coefficients of grid values, unchecked.
+    """Forward kernel in the centered layout: the normalized _rfft_half of real grid
+    values, extended to k_{d-1} < 0 by c(-k) = conj(c(k)), unchecked.
 
     Transforms the first d axes; trailing axes are batched.  dft() adds the
     symmetrization.
     """
-    axes = tuple(range(d))
-    n = values.shape[0] ** d
-    return np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes) / n
+    n, rows = values.shape[0], (slice(None),) * (d - 1)
+    half = np.fft.fftshift(_rfft_half(values, d), axes=tuple(range(d - 1))) / n**d
+    neg = np.conj(np.flip(half[rows + (slice(1, None),)], axis=tuple(range(d))))
+    return np.concatenate((neg, half), axis=d - 1)
 
 
 def _ifft_values(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """Inverse transform kernel: complex grid values of centered coefficients, unchecked.
-
-    The field is the real part; for conjugate-symmetric input the imaginary
-    part is round-off, which idft() bounds.
-    """
-    axes = tuple(range(d))
-    v = np.fft.ifftn(np.fft.ifftshift(coeffs, axes=axes), axes=axes)
-    v *= coeffs.shape[0] ** d
+    """Inverse kernel in the centered layout: real grid values of the k_{d-1} >= 0
+    half of centered coefficients, unchecked; the other half is taken to be its
+    conjugate mirror."""
+    n = coeffs.shape[0]
+    v = _irfft_values(_half_layout(coeffs, d, n // 2), d)
+    v *= n**d
     return v
 
 
@@ -304,8 +299,9 @@ def _irfft_values(half: np.ndarray, d: int) -> np.ndarray:
 def _half_layout(modes: np.ndarray, d: int, N: int) -> np.ndarray:
     """Centered mode array over |k|_inf <= W (W <= N) in the layout of _rfft_half at N;
     trailing axes are carried along."""
-    half = np.fft.ifftshift(modes, axes=tuple(range(d))).astype(complex)
-    return _half_resize(half.take(range((modes.shape[0] + 1) // 2), axis=d - 1), d, N)
+    W, rows = modes.shape[0] // 2, (slice(None),) * (d - 1)
+    half = np.fft.ifftshift(modes[rows + (slice(W, None),)], axes=tuple(range(d - 1)))
+    return _half_resize(half.astype(complex, copy=False), d, N)
 
 
 def _half_resize(half: np.ndarray, d: int, M: int) -> np.ndarray:
@@ -420,9 +416,9 @@ def resample(f: GridField, M: int) -> GridField:
     Exact for band-limited fields whenever M >= N; for M < N this is the
     pseudo-spectral projection onto the coarser grid (modes alias).
     """
-    if M < 1 or int(M) != M:
+    if M < 1 or M % 1:
         raise BadParameters(f"target mode radius must be a positive integer, got {M}")
-    g = f.grid
+    g, M = f.grid, int(M)
     if M == g.N:
         return GridField(g, f.values.copy())
     if M > g.N:
@@ -505,14 +501,15 @@ def sobolev_norm(f: GridField, idx: "SobolevIndex | float", homogeneous: bool = 
     ||f||_{H^s}^2  = (2pi)^d/2 * sum_k (1+|k|^{2s}) |c_k|^2   (so H^0 = L^2)
     ||f||_{Hdot^s}^2 = (2pi)^d * sum_{k!=0} |k|^{2s} |c_k|^2
 
-    Multi-channel fields sum the squares over channels.  The homogeneous
-    seminorm ignores the mean by construction; it reads the real half spectrum.
+    Multi-channel fields sum the squares over channels.  The seminorm, taken when the
+    index or the flag asks for it, ignores the mean; both read the real half spectrum.
     """
     if not isinstance(idx, SobolevIndex):
-        idx = SobolevIndex(float(idx), homogeneous)
+        idx = SobolevIndex(float(idx))
     g = f.grid
     k2 = _half_lattice(g.d, g.N).k2
-    w = np.where(k2 > 0, k2**idx.s, 0.0) if idx.homogeneous else 0.5 * (1.0 + k2**idx.s)
+    homogeneous = homogeneous or idx.homogeneous
+    w = np.where(k2 > 0, k2**idx.s, 0.0) if homogeneous else 0.5 * (1.0 + k2**idx.s)
     return _half_norm(_rfft_half(f.values, g.d), g.d, w)
 
 

@@ -319,8 +319,9 @@ class TestNoComplexSolverPath:
         assert not _names(fn.__code__) & set(self.CENTERED)
 
 
-TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn", "rfft", "irfft"}
-KERNELS = {"_fft_coeffs", "_ifft_values", "_rfft_half", "_irfft_values"}
+TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2",
+              "rfftn", "irfftn", "hfft", "ihfft", "hfft2", "ihfft2", "hfftn", "ihfftn"}
+KERNELS = {"_rfft_half", "_irfft_values"}
 
 
 def _transform_uses(path: Path, names=TRANSFORMS):
@@ -328,24 +329,25 @@ def _transform_uses(path: Path, names=TRANSFORMS):
     (by default the transforms); the function is None at module level."""
     found = []
 
-    def visit(node, fn):
+    def visit(node, fn, module=False):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
         name = (node.attr if isinstance(node, ast.Attribute)
                 else node.id if isinstance(node, ast.Name) else None)
-        if name in names:
+        if name in names and not module:
             found.append((fn, name, node.lineno))
         if isinstance(node, ast.alias) and node.name in names:
             found.append((fn, node.name, None))
         for child in ast.iter_child_nodes(node):
-            visit(child, fn)
+            # an attribute's owner is a module path: np.fft in np.fft.fftshift
+            visit(child, fn, isinstance(node, ast.Attribute))
 
     visit(ast.parse(path.read_text()), None)
     return found
 
 
 class TestTransformKernels:
-    """Every FFT in the package sits in one of the four transform kernels."""
+    """Every FFT in the package sits in one of the two real transform kernels."""
 
     SOURCES = sorted(Path(psifno.__file__).parent.glob("*.py"))
 
@@ -359,8 +361,12 @@ class TestTransformKernels:
         assert not stray, f"transform outside the kernels in {path.name}: {stray}"
 
     def test_each_kernel_holds_a_transform(self):
-        uses = _transform_uses(Path(spectral.__file__))
-        assert {fn for fn, _, _ in uses} == KERNELS
+        holders = {fn for fn, _, _ in _transform_uses(Path(spectral.__file__))}
+        assert holders == KERNELS
+        # the centered pair behind dft/idft adapts the real kernels and holds no transform
+        assert not holders & {"_fft_coeffs", "_ifft_values"}
+        assert "_rfft_half" in spectral._fft_coeffs.__code__.co_names
+        assert "_irfft_values" in spectral._ifft_values.__code__.co_names
 
 
 GADGET_NAMES = {"d1", "d2", "_SQ_SIGNS"}

@@ -34,6 +34,7 @@ from psifno.spectral import (
     mean,
     project,
     random_field,
+    random_hermitian_coeffs,
     resample,
     sobolev_norm,
 )
@@ -45,6 +46,7 @@ from helpers import (
     helmholtz_inverse_oracle,
     inverse_laplacian_oracle,
     naive_dft,
+    naive_idft,
     rel_err,
     resample_add_at,
 )
@@ -65,6 +67,18 @@ class TestGrid:
     def test_rejects_bad_parameters(self, d, N):
         with pytest.raises(BadParameters):
             Grid(d, N)
+
+    def test_integral_floats_are_stored_as_ints(self):
+        g = Grid(2, 4.0)
+        assert g == Grid(2, 4) and type(g.d) is int and type(g.N) is int
+        assert random_field(g, np.random.default_rng(0)).values.shape == (9, 9, 1)
+
+    @pytest.mark.parametrize("size", [2.5, np.nan, np.inf])
+    def test_rejects_non_integral_sizes(self, size):
+        f = random_field(Grid(1, 2), np.random.default_rng(0))
+        for make in (lambda: Grid(size, 2), lambda: Grid(2, size), lambda: resample(f, size)):
+            with pytest.raises(BadParameters):
+                make()
 
     def test_coordinates(self):
         g = Grid(1, 2)
@@ -153,6 +167,15 @@ class TestDft:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.stdout.strip() == "raised", proc.stderr
 
+    @pytest.mark.parametrize("d,N", [(d, N) for d in (1, 2, 3) for N in (1, 2, 3, 4)])
+    def test_idft_matches_naive_idft(self, d, N):
+        # the conjugate extension's edges: N = 1, and the k_{d-1} = 0 plane in d = 3
+        g = Grid(d, N)
+        rng = np.random.default_rng(10 * d + N)
+        for channels in (1, 2, 3):
+            c = random_hermitian_coeffs(g, rng, channels)
+            assert rel_err(idft(c).values, naive_idft(c.coeffs, g).real) < 1e-12
+
     def test_idft_of_single_mode_pair(self):
         g = Grid(1, 3)
         coeffs = np.zeros(g.shape + (1,), dtype=complex)
@@ -210,6 +233,11 @@ class TestResample:
         rng = np.random.default_rng(3)
         f = random_field(Grid(2, 3), rng)
         assert rel_err(resample(f, 3).values, f.values) < 1e-14
+
+    def test_integral_float_radius(self):
+        f = random_field(Grid(2, 3), np.random.default_rng(4))
+        for M in (2.0, 3.0, 6.0):
+            assert np.array_equal(resample(f, M).values, resample(f, int(M)).values)
 
     def test_band_limited_upsampling_exact(self):
         g = Grid(1, 2)
@@ -406,6 +434,13 @@ class TestSobolevNorm:
         a = sobolev_norm(f, SobolevIndex(1.0, homogeneous=True))
         b = sobolev_norm(f0, SobolevIndex(1.0, homogeneous=True))
         assert abs(a - b) < 1e-12
+
+    def test_index_or_flag_selects_the_seminorm(self):
+        # |5 + sin|_{Hdot^1}^2 = 2pi * (|c_1|^2 + |c_-1|^2) = pi; the mean adds nothing
+        f = field_from_function(Grid(1, 3), lambda x: 5.0 + np.sin(x))
+        for idx, flag in [(SobolevIndex(1.0, homogeneous=True), False),
+                          (SobolevIndex(1.0), True), (1.0, True)]:
+            assert abs(sobolev_norm(f, idx, homogeneous=flag) - np.sqrt(np.pi)) < 1e-12
 
     def test_rejects_negative_order(self):
         with pytest.raises(BadParameters):
