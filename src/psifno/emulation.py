@@ -77,6 +77,7 @@ H0 = 0.25           # first step every calibration tries
 X0 = 1.0            # sq_h expansion point
 X0_ID = 0.0         # psi_h expansion point
 RANGE_SAFETY = 3.0  # margin on the pre-activation ranges measured on solver runs
+CALIBRATION_PROBES = 4  # coercive coefficients the Darcy emulator is checked on
 _SIGMA = activation("tanh")
 _SQ_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])  # sq_h(a+b) - sq_h(a) - sq_h(b) terms
 
@@ -497,7 +498,7 @@ def build_ns_nonlinearity_net(N: int, B: float, eps: float, d: int = 2, rng=None
 
 
 def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps: float,
-                         rng=None, calibration_probes: int = 4) -> PsiFno:
+                         rng=None) -> PsiFno:
     """Network replaying the Darcy fixed-point algorithm for a fixed source.
 
     Input: the coefficient a sampled on the 2N grid (one channel), in the
@@ -525,9 +526,8 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
     D = 4 * d + 4
 
     # calibration probes: coercive coefficients from the documented generator
-    probes = [
-        darcy_mod.random_decay_coefficient(d, 2 * N, lam, rng) for _ in range(calibration_probes)
-    ]
+    probes = [darcy_mod.random_decay_coefficient(d, 2 * N, lam, rng)
+              for _ in range(CALIBRATION_PROBES)]
     f_in = f if f.grid.N >= 2 * N else resample(f, 2 * N)
     # the ranges are sampled on the finer 2N grid, so the steps calibration starts
     # from do not depend on the network grid

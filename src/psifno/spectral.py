@@ -229,10 +229,10 @@ def dft(f: GridField) -> SpectralCoeffs:
 def idft(c: SpectralCoeffs) -> GridField:
     """Inverse transform f_j = sum_k c_k exp(i<x_j,k>) of conjugate-symmetric coefficients.
 
-    The field is read from the k_{d-1} >= 0 half, so it is real by
-    construction.  Raises HermitianViolation when the coefficients fail
-    conjugate symmetry by more than 2 * IMAG_RESIDUE_RTOL relative: the
-    imaginary residue that the dropped antisymmetric part would leave.
+    The field is read from the k_{d-1} >= 0 half, so it is real by construction.
+    One per-mode guard: HermitianViolation when max_k |c(-k) - conj(c(k))| exceeds
+    2 * IMAG_RESIDUE_RTOL * max_k |c_k|; below it the half is read as given, so the
+    field can move by up to the sum of the per-mode defects.
     """
     g = c.grid
     defect = hermitian_defect(c.coeffs, g.d)

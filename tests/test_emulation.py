@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psifno import darcy as dm
+from psifno import emulation
 from psifno import navier_stokes as ns
 from psifno.emulation import (
     H0,
@@ -546,14 +547,14 @@ class TestDarcyEmulator:
         sol = dm.solve(dm.DarcyProblem(a, f, lam, k, N))
         assert dm.h1_error_against(fno_forward(net, a), resample(sol.u, 2 * N)) <= 1e-3
 
-    def test_depth_logarithmic_in_N(self):
+    def test_depth_logarithmic_in_N(self, monkeypatch):
+        monkeypatch.setattr(emulation, "CALIBRATION_PROBES", 2)
         lam, k = 0.5, 1
         f16 = field_from_function(Grid(2, 32), lambda x, y: np.cos(x))
         ratios = []
         for N in (4, 8, 16):
             net = build_darcy_emulator(f16, lam, N, k, B=2.0, eps=5e-3,
-                                       rng=np.random.default_rng(14),
-                                       calibration_probes=2)
+                                       rng=np.random.default_rng(14))
             ratios.append(size_report(net).depth / np.log(N))
         # depth = 3K with K <= k log(N)/|log(1-lam/2)| + 1
         bound = 3.0 * k / abs(np.log(1 - lam / 2)) + 3.0 / np.log(4)
@@ -564,15 +565,15 @@ class TestDarcyEmulator:
         net, *_ = darcy_emulator_small
         assert "h" in net.meta and "measured_error" in net.meta and "K" in net.meta
 
-    def test_combined_error_against_true_solution(self):
+    def test_combined_error_against_true_solution(self, monkeypatch):
         # ||emulator(a) - u*||_H1 <= ||solver - u*||_H1 + eps on a
         # manufactured problem (triangle inequality, both sides measured)
+        monkeypatch.setattr(emulation, "CALIBRATION_PROBES", 3)
         N, lam, k, eps = 8, 0.5, 1, 1e-3
         rng = np.random.default_rng(45)
         a, f, u_star = dm.manufactured_problem(2, lam, k, N_max=N, rng=rng)
         net = build_darcy_emulator(f, lam, N, k, B=2.0, eps=eps,
-                                   rng=np.random.default_rng(46),
-                                   calibration_probes=3)
+                                   rng=np.random.default_rng(46))
         sol = dm.solve(dm.DarcyProblem(a, f, lam, k, N))
         solver_err = dm.h1_error_against(sol.u, u_star)
         emulator_err = dm.h1_error_against(fno_forward(net, a), u_star)

@@ -329,21 +329,30 @@ def _transform_uses(path: Path, names=TRANSFORMS):
     (by default the transforms); the function is None at module level."""
     found = []
 
-    def visit(node, fn, module=False):
+    def visit(node, fn, owner=False):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
         name = (node.attr if isinstance(node, ast.Attribute)
                 else node.id if isinstance(node, ast.Name) else None)
-        if name in names and not module:
+        # an fft that owns an attribute is the module (np.fft.fftshift), not the transform
+        if name in names and not (owner and name == "fft"):
             found.append((fn, name, node.lineno))
         if isinstance(node, ast.alias) and node.name in names:
             found.append((fn, node.name, None))
         for child in ast.iter_child_nodes(node):
-            # an attribute's owner is a module path: np.fft in np.fft.fftshift
-            visit(child, fn, isinstance(node, ast.Attribute))
+            visit(child, fn, isinstance(node, ast.Attribute) and child is node.value)
 
     visit(ast.parse(path.read_text()), None)
     return found
+
+
+def test_scan_skips_only_the_fft_module(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("def f(x):\n    return np.fft.fftshift(x), scipy.fft.rfftn(x), np.fft.fft(x)\n"
+                   "def g():\n    return _SQ_SIGNS.copy(), _SQ_SIGNS.T, _sq_units.__wrapped__\n")
+    assert _transform_uses(src) == [("f", "rfftn", 2), ("f", "fft", 2)]
+    assert _transform_uses(src, GADGET_NAMES | {"_sq_units"}) == [
+        ("g", "_SQ_SIGNS", 4), ("g", "_SQ_SIGNS", 4), ("g", "_sq_units", 4)]
 
 
 class TestTransformKernels:
@@ -364,7 +373,6 @@ class TestTransformKernels:
         holders = {fn for fn, _, _ in _transform_uses(Path(spectral.__file__))}
         assert holders == KERNELS
         # the centered pair behind dft/idft adapts the real kernels and holds no transform
-        assert not holders & {"_fft_coeffs", "_ifft_values"}
         assert "_rfft_half" in spectral._fft_coeffs.__code__.co_names
         assert "_irfft_values" in spectral._ifft_values.__code__.co_names
 

@@ -13,6 +13,7 @@ from psifno.errors import (
     HermitianViolation,
 )
 from psifno.spectral import (
+    IMAG_RESIDUE_RTOL,
     Grid,
     GridField,
     SobolevIndex,
@@ -152,6 +153,16 @@ class TestDft:
         coeffs[centered_index(g, -1) + (0,)] = 2e-10j
         with pytest.raises(HermitianViolation):
             idft(SpectralCoeffs(g, coeffs, real_field=False))
+
+    def test_idft_reads_a_defect_below_the_per_mode_bound_from_the_half(self):
+        # the coherent antisymmetric part i*delta on all 81 modes has per-mode defect
+        # 2*delta, inside the bound; the field moves by at most the summed defects
+        g = Grid(2, 4)
+        s = random_hermitian_coeffs(g, np.random.default_rng(7)).coeffs
+        delta = 0.75 * IMAG_RESIDUE_RTOL * np.max(np.abs(s))
+        f = idft(SpectralCoeffs(g, s + 1j * delta, real_field=False)).values
+        move = np.max(np.abs(f - idft(SpectralCoeffs(g, s)).values))
+        assert 0 < move <= s.size * 2 * delta
 
     def test_imaginary_residue_guard_survives_optimize_flag(self):
         code = (
