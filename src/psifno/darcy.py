@@ -41,6 +41,7 @@ from .spectral import (
     _half_resize,
     _irfft_values,
     _on_grid,
+    _positive_int,
     _product_radius,
     _rfft_half,
     field_from_function,
@@ -72,10 +73,8 @@ class DarcyProblem:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise BadParameters(f"coercivity constant must lie in (0,1), got {self.lam}")
-        if self.k < 1 or int(self.k) != self.k:
-            raise BadParameters(f"target rate must be an integer >= 1, got {self.k}")
-        if self.N < 1:
-            raise BadParameters(f"resolution must be >= 1, got {self.N}")
+        object.__setattr__(self, "k", _positive_int(self.k, "target rate"))
+        object.__setattr__(self, "N", _positive_int(self.N, "resolution"))
         if self.a.channels != 1 or self.f.channels != 1:
             raise BadParameters("coefficient and source must be single-channel")
         fbar = float(mean(self.f)[0])

@@ -82,6 +82,12 @@ _SIGMA = activation("tanh")
 _SQ_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])  # sq_h(a+b) - sq_h(a) - sq_h(b) terms
 
 
+def _check_targets(**targets: float) -> None:
+    """BadParameters unless every bound and accuracy target is finite and > 0 (NaN is not)."""
+    if not all(0.0 < v < np.inf for v in targets.values()):
+        raise BadParameters(f"bound and accuracy must be finite and positive, got {targets}")
+
+
 def _calibrate(build, error, target: float, h0: float):
     """Halve the step from h0 until error(build(h)) <= target; returns (net, error).
 
@@ -213,8 +219,7 @@ class ProductNetSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.B <= 0 or self.eps <= 0:
-            raise BadParameters("bound and accuracy must be positive")
+        _check_targets(B=self.B, eps=self.eps)
         if abs(activation(self.activation).d2(self.x0)) < 1e-3:
             raise BadParameters(
                 f"sigma''({self.x0}) is too close to zero for the quadratic gadget"
@@ -257,8 +262,7 @@ class AffineApproxSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.B <= 0 or self.eps <= 0:
-            raise BadParameters("bound and accuracy must be positive")
+        _check_targets(B=self.B, eps=self.eps)
         if abs(activation(self.activation).d1(X0_ID)) < 1e-3:
             raise BadParameters(f"sigma'({X0_ID}) is too close to zero for the identity gadget")
 
@@ -447,8 +451,7 @@ def _pair_net(N: int, d: int, B: float, eps: float, net, oracle, draw) -> PsiFno
 
     draw(Grid(d, N)) returns one input pair of L^2 norm B; the net and the
     oracle see it resampled to the doubled grid."""
-    if B <= 0 or eps <= 0:
-        raise BadParameters("bound and accuracy must be positive")
+    _check_targets(B=B, eps=eps)
     pairs = [[resample(v, 2 * N) for v in draw(Grid(d, N))] for _ in range(12)]
     inputs = [GridField(x.grid, np.concatenate([x.values, y.values], -1)) for x, y in pairs]
     return _calibrate(lambda h: net(N, d, h),
@@ -518,6 +521,7 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
     """
     from . import darcy as darcy_mod
 
+    _check_targets(B=B, eps=eps)
     rng = rng if rng is not None else np.random.default_rng(3)
     d = f.grid.d
     K = darcy_mod.iteration_count(lam, N, k)
@@ -595,6 +599,7 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
     """
     from . import navier_stokes as ns
 
+    _check_targets(eps_total=eps_total)
     rng = rng if rng is not None else np.random.default_rng(4)
     d, N = config.d, config.N
     nu, tau = config.nu, config.tau
@@ -717,6 +722,7 @@ def build_ft_emulator(N: int, B: float, eps: float, d: int = 1, rng=None) -> Psi
     imaginary part, with k_t running lexicographically over -N..N per axis
     (the mode order is recorded in the model metadata).
     """
+    _check_targets(B=B, eps=eps)
     rng = rng if rng is not None else np.random.default_rng(5)
     grid = Grid(d, N)
     fields = []
@@ -756,6 +762,7 @@ def build_ift_emulator(N: int, B: float, eps: float, d: int = 1, rng=None) -> Ps
     For inputs w = (Re v_k, Im v_k) with |entries| <= B it returns v to eps
     in L^2; the channel order matches build_ft_emulator.
     """
+    _check_targets(B=B, eps=eps)
     rng = rng if rng is not None else np.random.default_rng(6)
     grid = Grid(d, N)
     wants = []
@@ -793,6 +800,7 @@ def strictify(net: PsiFno, B: float, eps: float, rng=None) -> PsiFno:
     layer), so the result matches the strict layer form sigma(Wv+b+conv).
     Per-layer input bounds are measured by forwarding eight probe fields.
     """
+    _check_targets(B=B, eps=eps)
     rng = rng if rng is not None else np.random.default_rng(7)
     act = activation(net.activation)
     grid = net.grid

@@ -37,7 +37,7 @@ checked when the plan compiles.  A multiplier that is zero away from k = 0
 is P(0) applied to the grid mean, with no transform, and a spatially
 constant channel is computed at one point and spread over the grid only
 where a field bias, a wider multiplier or the output needs it.
-layer_forward, the one-layer step with every channel, is cached on the layer.
+layer_forward runs the one-layer plan, compiled on each call.
 FourierMultiplier.apply still acts on the full centered spectrum of
 spectral.dft; only the tests' reference forward calls it.
 """
@@ -197,8 +197,6 @@ class FnoLayer:
     bias        : None, a constant (d_v,) vector, or a GridField with d_v channels
     multiplier  : FourierMultiplier or None
     apply_activation : skip for a pure F-/affine layer
-
-    layer_forward caches the layer's compiled step per grid in _steps.
     """
 
     d_v: int
@@ -206,7 +204,6 @@ class FnoLayer:
     bias: object = None
     multiplier: FourierMultiplier | None = None
     apply_activation: bool = True
-    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight is not None:
@@ -255,17 +252,19 @@ class FnoLayer:
 def _layer_affine(layer: FnoLayer, grid: Grid) -> tuple:
     """(W, bias, terms) of a layer's pre-activation map on grid, checked.
 
-    W is None when zero, bias None, a (d_v,) vector or grid values, and
-    terms pairs each multiplier term's mode array, moved into the half
-    layout of grid, with its nonzero matrix.  Dimensions and conjugacy
-    are checked here, since the real transforms are exact only when P
-    is conjugate-symmetric.
+    W is None when zero, bias None, grid values or one point (a constant,
+    shape (1,)*d + (d_v,)), and terms pairs each multiplier term's mode
+    array, moved into the half layout of grid, with its nonzero matrix.
+    Dimensions and conjugacy are checked here, since the real transforms
+    are exact only when P is conjugate-symmetric.
     """
     bias = layer.bias
     if isinstance(bias, GridField):
         if bias.grid != grid:
             raise DimensionMismatch("bias field lives on a different grid")
         bias = bias.values
+    elif bias is not None:
+        bias = bias.reshape((1,) * grid.d + (-1,))
     weight = layer.weight if layer.weight is not None and np.any(layer.weight) else None
     mult = layer.multiplier
     if mult is None:
@@ -293,9 +292,7 @@ def _then(a: tuple, b: tuple) -> tuple:
     bias = bb
     if ba is not None:
         parts = [ba @ Wb.T] if Wb is not None else []
-        if Tb and ba.ndim == 1:  # a constant sees only the k = 0 mode
-            parts.append(sum(r[(0,) * r.ndim] * (B @ ba) for r, B in Tb).real)
-        elif Tb:
+        if Tb:  # a one-point (constant) ba sees only the k = 0 mode
             conv, out = _Convolution(Tb, ba.shape[-1]), np.zeros_like(ba)
             out[..., conv.rows] = conv(ba)
             parts.append(out)
@@ -435,19 +432,12 @@ class _Step:
 
 
 def layer_forward(layer: FnoLayer, v: GridField, act: Activation) -> GridField:
-    """Evaluate one layer on grid values (exact; FFT-based convolution).
-
-    This is the one-layer step of the forward plan with every channel in
-    and out, compiled for v's grid on first use and cached on the layer.
-    """
+    """Evaluate one layer on grid values: the plan of the one-layer network with
+    identity lifting and projection on v's grid, compiled on each call."""
     if v.channels != layer.d_v:
         raise DimensionMismatch(f"layer expects {layer.d_v} channels, got {v.channels}")
-    step = layer._steps.get(v.grid)
-    if step is None:
-        every = np.arange(layer.d_v)
-        step = layer._steps[v.grid] = _Step(_layer_affine(layer, v.grid), every, every,
-                                            layer.apply_activation)
-    return _as_field(v.grid, step(v.values, act))
+    I = np.eye(layer.d_v)
+    return _Plan(PsiFno(v.grid, I, (layer,), I))(v, act)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:

@@ -101,6 +101,9 @@ class NsConfig:
     def __post_init__(self):
         if self.d not in (2, 3):
             raise BadParameters(f"dimension must be 2 or 3, got {self.d}")
+        scalars = {"nu": self.nu, "T": self.T, "tau": self.tau, "U": self.U}
+        if not all(map(math.isfinite, scalars.values())):
+            raise BadParameters(f"nu, T, tau and U must be finite, got {scalars}")
         if self.nu < 0:
             raise BadParameters(f"viscosity must be >= 0, got {self.nu}")
         if self.T <= 0 or self.tau <= 0 or self.U <= 0:

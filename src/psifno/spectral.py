@@ -41,6 +41,13 @@ HERMITIAN_RTOL = 1e-12
 IMAG_RESIDUE_RTOL = 1e-10
 
 
+def _positive_int(value, what: str) -> int:
+    """value as an int, which can size an array; BadParameters unless it is an integer >= 1."""
+    if value < 1 or value % 1:  # nan and inf leave a nonzero (nan) remainder
+        raise BadParameters(f"{what} must be a positive integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Regular periodic grid with an odd number of points per axis.
@@ -54,11 +61,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        for name, what in (("d", "spatial dimension"), ("N", "mode radius")):
-            v = getattr(self, name)
-            if v < 1 or v % 1:  # nan and inf leave a nonzero (nan) remainder
-                raise BadParameters(f"{what} must be a positive integer, got {v}")
-            object.__setattr__(self, name, int(v))  # 4.0 passes, but cannot size an array
+        object.__setattr__(self, "d", _positive_int(self.d, "spatial dimension"))
+        object.__setattr__(self, "N", _positive_int(self.N, "mode radius"))
 
     @property
     def npoints(self) -> int:
@@ -416,9 +420,7 @@ def resample(f: GridField, M: int) -> GridField:
     Exact for band-limited fields whenever M >= N; for M < N this is the
     pseudo-spectral projection onto the coarser grid (modes alias).
     """
-    if M < 1 or M % 1:
-        raise BadParameters(f"target mode radius must be a positive integer, got {M}")
-    g, M = f.grid, int(M)
+    g, M = f.grid, _positive_int(M, "target mode radius")
     if M == g.N:
         return GridField(g, f.values.copy())
     if M > g.N:

@@ -246,6 +246,23 @@ class TestSolve:
         with pytest.raises(BadParameters):
             DarcyProblem(a, f, lam=0.5, k=1, N=4)
 
+    def test_integral_float_resolution_solves_as_the_int(self):
+        # N = 4.0 and k = 1.0 are stored as ints, so the solve can size its arrays
+        a = random_decay_coefficient(2, 8, 0.5, np.random.default_rng(6))
+        f = field_from_function(Grid(2, 8), lambda x, y: np.cos(x) + np.sin(2 * y))
+        want = solve(DarcyProblem(a, f, 0.5, 1, 4))
+        got = solve(DarcyProblem(a, f, 0.5, 1.0, 4.0))
+        assert got.u.grid == want.u.grid and got.iterations == want.iterations
+        assert np.array_equal(got.u.values, want.u.values)
+
+    @pytest.mark.parametrize("k,N", [(1, 4.5), (1, 0), (1, float("nan")), (1, float("inf")),
+                                     (1.5, 4), (0, 4), (float("nan"), 4)])
+    def test_non_integral_rate_or_resolution_rejected(self, k, N):
+        g = Grid(2, 8)
+        with pytest.raises(BadParameters):
+            DarcyProblem(constant_field(g, 1.0), field_from_function(g, lambda x, y: np.cos(x)),
+                         lam=0.5, k=k, N=N)
+
     def test_fixed_point_residual_bound(self):
         rng = np.random.default_rng(5)
         a = random_decay_coefficient(2, 16, 0.5, rng)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,47 @@ class TestEachPairWrittenOnce:
             bias = layer.bias.values if isinstance(layer.bias, GridField) else layer.bias
             rows = {(layer.weight[r].tobytes(), bias[..., r].tobytes()) for r in range(net.d_v)}
             assert len(rows) == net.d_v
+
+
+def _no_work(*_, **__):
+    raise AssertionError("a solve or forward ran before the target check")
+
+
+# name -> entry point taking (B, eps); the Navier-Stokes emulator takes only eps_total
+TARGET_ENTRIES = {
+    "product-spec": lambda B, eps: ProductNetSpec(B, eps),
+    "affine-spec": lambda B, eps: AffineApproxSpec(FnoLayer(1, np.eye(1)), Grid(1, 2), B, eps),
+    "darcy-nonlinearity": lambda B, eps: build_nonlinearity_net_darcy(2, B, eps),
+    "ns-nonlinearity": lambda B, eps: build_ns_nonlinearity_net(2, B, eps),
+    "darcy-emulator": lambda B, eps: build_darcy_emulator(
+        field_from_function(Grid(2, 4), lambda x, y: np.cos(x)), 0.5, 2, 1, B, eps),
+    "ns-emulator": lambda B, eps: build_ns_emulator(_small_ns_config(2), eps),
+    "ft-emulator": lambda B, eps: build_ft_emulator(2, B, eps),
+    "ift-emulator": lambda B, eps: build_ift_emulator(2, B, eps),
+    "strictify": lambda B, eps: strictify(
+        PsiFno(Grid(1, 2), np.eye(1), (FnoLayer(1, np.eye(1), None, None, False),), np.eye(1)),
+        B, eps),
+}
+
+
+class TestTargetsChecked:
+    """Every builder refuses a bound or accuracy target that is not finite and > 0
+    before it solves or forwards anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for module, name in ((dm, "solve"), (ns, "simulate"), (emulation, "fno_forward"),
+                             (emulation, "layer_forward")):
+            monkeypatch.setattr(module, name, _no_work)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", TARGET_ENTRIES)
+    def test_rejected_before_any_work(self, entry, value):
+        with pytest.raises(BadParameters, match="finite and positive"):
+            TARGET_ENTRIES[entry](1.0, value)
+        if entry != "ns-emulator":
+            with pytest.raises(BadParameters, match="finite and positive"):
+                TARGET_ENTRIES[entry](value, 1e-3)
 
 
 class TestProductNet:
@@ -842,6 +885,21 @@ class TestCompiledForwardOnEmulators:
 
 
 class TestStrictMode:
+    def test_leaves_the_callers_layers_as_they_were(self):
+        # strictify forwards probes through every layer and wraps the activated ones;
+        # none of that may write to a layer of the network it was given
+        g = Grid(1, 4)
+        rng = np.random.default_rng(23)
+        raw = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        s = 0.5 * (raw + np.conj(raw[::-1]))  # P(-k) = conj(P(k))
+        mult = FourierMultiplier(1, 4, [(s, rng.standard_normal((2, 2)) / 2)], 2)
+        layers = (FnoLayer(2, rng.standard_normal((2, 2)), rng.standard_normal(2), mult, False),
+                  FnoLayer(2, rng.standard_normal((2, 2)), None, mult, True))
+        net = PsiFno(g, rng.standard_normal((2, 1)), layers, rng.standard_normal((1, 2)))
+        before = [pickle.dumps(vars(layer)) for layer in net.layers]
+        strictify(net, B=1.0, eps=1e-2, rng=np.random.default_rng(24))
+        assert [pickle.dumps(vars(layer)) for layer in net.layers] == before
+
     def test_every_layer_activated_and_accurate(self):
         N, eps = 2, 1e-3
         net = build_nonlinearity_net_darcy(N, B=1.0, eps=eps, d=2,

@@ -1,18 +1,22 @@
+import ast
 import json
 import re
 import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psifno
 from psifno.errors import BadParameters, DimensionMismatch, UnknownActivation
 from psifno.fno import (
     FnoLayer,
     FourierMultiplier,
     PsiFno,
+    _Plan,
     activation,
     compose,
     fno_forward,
@@ -617,6 +621,12 @@ def non_conjugate_net(grid: Grid) -> PsiFno:
     return PsiFno(grid, np.eye(1), (FnoLayer(1, None, None, mult, False),), np.eye(1))
 
 
+def one_layer_step(layer: FnoLayer, grid: Grid):
+    """The step of the one-layer plan that layer_forward runs on grid."""
+    I = np.eye(layer.d_v)
+    return _Plan(PsiFno(grid, I, (layer,), I)).steps[0]
+
+
 CASES = [(1, 2, 3), (1, 8, 2), (1, 16, 2), (2, 3, 2), (2, 7, 1), (3, 1, 2), (3, 2, 1)]
 
 
@@ -659,8 +669,8 @@ class TestCompiledForward:
         act = activation("tanh")
         got = layer_forward(layer, v, act).values
         assert rel_err(got, reference_layer_forward(layer, v, act).values) < 1e-12
-        conv = layer._steps[g].conv
-        assert conv.M.shape == (1, 4) and list(conv.rows) == [1, 2]
+        conv = one_layer_step(layer, g).conv
+        assert conv.M.shape == (1, 1) and list(conv.rows) == [1, 2]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_rows_of_one_to_five_pairs(self, d):
@@ -684,7 +694,7 @@ class TestCompiledForward:
                                                ([1, 2, 3, 4], [3, 2, 1, 0], [0, 1, 2, 3, 4])):
             want = reference_layer_forward(layer, v, act).values
             assert rel_err(layer_forward(layer, v, act).values, want) < 1e-12
-            conv = layer._steps[g].conv
+            conv = one_layer_step(layer, g).conv
             assert (conv.size, len(conv.folds) + 1, list(conv.rows)) == (pairs, longest, rows)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -703,7 +713,7 @@ class TestCompiledForward:
         act = activation("tanh")
         got = layer_forward(layer, v, act).values
         want = layer_forward(wide, v_wide, act).values
-        assert layer._steps[g].direct and not wide._steps[g].direct
+        assert one_layer_step(layer, g).direct and not one_layer_step(wide, g).direct
         assert np.array_equal(got, want[..., :d_v])
         kept = got.copy()
         got[...] = 7.0  # the returned values share no buffer with the step
@@ -756,6 +766,52 @@ class TestCompiledForward:
         net = non_conjugate_net(g)
         with pytest.raises(BadParameters):
             fno_forward(net, random_field(g, np.random.default_rng(52)))
+
+
+def _references(path: Path, name: str) -> list:
+    """Dotted scope (class and function names) of every reference a module makes to name."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        ref = (node.id if isinstance(node, ast.Name)
+               else node.attr if isinstance(node, ast.Attribute)
+               else node.name if isinstance(node, ast.alias) else None)
+        if ref == name:
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+class TestOneCompiler:
+    """_Plan is the one place a layer is compiled; layer_forward runs the one-layer plan."""
+
+    def test_only_the_plan_constructs_steps(self):
+        sources = sorted(Path(psifno.__file__).parent.glob("*.py"))
+        found = {p.name: _references(p, "_Step") for p in sources}
+        assert {name: refs for name, refs in found.items() if refs} == {
+            "fno.py": ["_Plan.__init__"]}
+
+    @pytest.mark.parametrize("d,N,d_v", CASES)
+    def test_layer_forward_is_the_one_layer_network(self, d, N, d_v):
+        g = Grid(d, N)
+        rng = np.random.default_rng(200 + 3 * d + N)
+        v = random_field(g, rng, channels=d_v)
+        full = random_layer(g, d_v, rng)
+        live = np.arange(d_v) > 0  # the weight and the multiplier leave channel 0 unread
+        blind = FnoLayer(d_v, full.weight * live, rng.standard_normal(d_v),
+                         FourierMultiplier(d, N, [(s, A * live) for s, A in full.multiplier.terms],
+                                           d_v), True)
+        assert 0 not in one_layer_step(blind, g).cols
+        I = np.eye(d_v)
+        for layer in (full, random_layer(g, d_v, rng, False), blind):
+            for name in ("tanh", "gelu"):
+                want = fno_forward(PsiFno(g, I, (layer,), I, name), v).values
+                assert np.array_equal(layer_forward(layer, v, activation(name)).values, want)
 
 
 def plan_layer(grid: Grid, d_v: int, rng, activated: bool, dead: int) -> FnoLayer:

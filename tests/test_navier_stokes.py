@@ -90,6 +90,16 @@ class TestConfigValidation:
         with pytest.raises(BadParameters):
             NsConfig(d=2, N=4, nu=0.1, T=1.0, tau=0.3, U=10.0, u0=u0, enforce_cfl=False)
 
+    @pytest.mark.parametrize("field", ["nu", "T", "tau", "U"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        u0 = shear_mode(4)
+        params = dict(d=2, N=4, nu=0.1, T=0.02, tau=0.01, U=10.0, u0=u0, enforce_cfl=False)
+        NsConfig(**params)  # valid as given
+        params[field] = value
+        with pytest.raises(BadParameters, match="finite"):
+            NsConfig(**params)
+
     def test_energy_bound_validated(self):
         u0 = shear_mode(4)
         with pytest.raises(BadParameters):

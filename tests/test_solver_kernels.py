@@ -294,18 +294,18 @@ class TestNoComplexSolverPath:
     the real pair only; a complex kernel or a centered round trip in them is a
     second path."""
 
-    COMPLEX_KERNELS = ("_fft_coeffs", "_ifft_values")
-    CENTERED = COMPLEX_KERNELS + ("dft", "idft", "SpectralCoeffs")
+    CENTERED_ADAPTERS = ("_fft_coeffs", "_ifft_values")
+    CENTERED = CENTERED_ADAPTERS + ("dft", "idft", "SpectralCoeffs")
 
     @pytest.mark.parametrize("module", [darcy, ns, emulation], ids=lambda m: m.__name__)
     def test_module_binds_no_complex_kernel(self, module):
-        assert not [k for k in self.COMPLEX_KERNELS if k in vars(module)]
+        assert not [k for k in self.CENTERED_ADAPTERS if k in vars(module)]
 
     @pytest.mark.parametrize("fn", [emulation.darcy_nonlinearity_oracle,
                                     emulation.ns_nonlinearity_oracle,
                                     emulation._truncated])
     def test_oracles_name_no_complex_kernel(self, fn):
-        assert not [k for k in self.COMPLEX_KERNELS if k in fn.__code__.co_names]
+        assert not [k for k in self.CENTERED_ADAPTERS if k in fn.__code__.co_names]
 
     @pytest.mark.parametrize("fn", [
         emulation._sup_gradient, emulation.build_darcy_emulator,

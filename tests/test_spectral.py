@@ -145,7 +145,8 @@ class TestDft:
             idft(c)
 
     def test_idft_rejects_imaginary_residue(self):
-        # symmetry defect 4e-10 passes the 1e-9 check; imaginary residue 4e-10 does not
+        # c(1) = c(-1) = 2e-10i: per-mode symmetry defect |c(-1) - conj(c(1))| = 4e-10,
+        # above the bound 2 * IMAG_RESIDUE_RTOL * max|c| = 2e-10
         g = Grid(1, 4)
         coeffs = np.zeros(g.shape + (1,), dtype=complex)
         coeffs[centered_index(g, 0) + (0,)] = 1.0
@@ -164,7 +165,7 @@ class TestDft:
         move = np.max(np.abs(f - idft(SpectralCoeffs(g, s)).values))
         assert 0 < move <= s.size * 2 * delta
 
-    def test_imaginary_residue_guard_survives_optimize_flag(self):
+    def test_symmetry_guard_survives_optimize_flag(self):
         code = (
             "import numpy as np\n"
             "from psifno.errors import HermitianViolation\n"
