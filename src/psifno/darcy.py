@@ -158,8 +158,7 @@ def iteration_count(lam: float, N: int, k: int) -> int:
     """K = ceil( log(lam^-1 N^-k) / log(1 - lam/2) ), at least 1."""
     if not 0.0 < lam < 1.0:
         raise BadParameters(f"lambda must lie in (0,1), got {lam}")
-    if N < 1 or k < 1:
-        raise BadParameters(f"need N >= 1 and k >= 1, got N={N}, k={k}")
+    N, k = _positive_int(N, "resolution"), _positive_int(k, "target rate")
     K = math.ceil(math.log(N**-k / lam) / math.log(1.0 - lam / 2.0))
     return max(K, 1)
 

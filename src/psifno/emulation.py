@@ -33,12 +33,14 @@ Darcy network stacks K copies of [gradient F-layer; product sigma-layer;
 combine/update F-layer with the lifted source as bias], and the
 Navier-Stokes network stacks n_T * kappa0 advection blocks of the same
 shape.  Widths grow like N^d through the grid, depths like the iteration
-counts; lifts stay constant (4d + 4 and 4d^2 + 4d).  Three assemblers
+counts; lifts stay constant (4d + 4 and 4d^2 + 4d).  Four assemblers
 build every block: `_feed_layer` (channel copies and gradients under a
 mode mask), `_sigma_layer` (the products' pairs, then one psi_h pair per
-carried channel) and `_product_sums` (combine rows from the sq_h
-decoder).  The nonlinearity networks P_N(a grad u) and PL_N(u . grad w)
-are one such block without the carry or the update (lifts 4d + 2, 4d^2 + 2d).
+carried channel), `_product_sums` (combine rows from the sq_h decoder)
+and `_f_layer`, which writes every unactivated multiplier layer, feeds
+and combine layers alike, from blocks of rows under mode arrays.  The
+nonlinearity networks P_N(a grad u) and PL_N(u . grad w) are one such
+block without the carry or the update (lifts 4d + 2, 4d^2 + 2d).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .spectral import (
     _half_resize,
     _lattice,
     _on_grid,
+    _positive_int,
     _product_radius,
     _rfft_half,
     dft,
@@ -322,19 +325,23 @@ def _mask(grid: Grid, radius: int, zero_mean: bool) -> np.ndarray:
     return truncation_mask(grid, radius, zero_mean).astype(complex)
 
 
-def _feed_layer(grid: Grid, D: int, mask: np.ndarray, copies, grads) -> FnoLayer:
-    """Unactivated F-layer: row <- mask * col for each (row, col) in copies,
+def _f_layer(grid: Grid, D: int, blocks, bias=None) -> FnoLayer:
+    """Unactivated F-layer sum_t s_t(k) A_t, one term per block (s, row0, rows): A_t
+    holds rows from row row0 on and is zero elsewhere."""
+    terms = []
+    for s, row0, rows in blocks:
+        A = np.zeros((D, D))
+        A[row0 : row0 + len(rows)] = rows
+        terms.append((s, A))
+    return FnoLayer(D, None, bias, FourierMultiplier(grid.d, grid.N, terms, D, check=False), False)
+
+
+def _feed_layer(grid: Grid, D: int, mask: np.ndarray, cols, grads) -> FnoLayer:
+    """Unactivated F-layer: row r <- mask * v_{cols[r]},
     row <- mask * d(col)/dx_axis for each (row, col, axis) in grads."""
-    A = np.zeros((D, D))
-    for row, col in copies:
-        A[row, col] = 1.0
-    terms = [(mask, A)]
-    ik = _lattice(grid.d, grid.N).ik
-    for row, col, axis in grads:
-        E = np.zeros((D, D))
-        E[row, col] = 1.0
-        terms.append((ik[..., axis] * mask, E))
-    return FnoLayer(D, None, None, FourierMultiplier(grid.d, grid.N, terms, D, check=False), False)
+    I, ik = np.eye(D), _lattice(grid.d, grid.N).ik
+    return _f_layer(grid, D, [(mask, 0, I[list(cols)])]
+                    + [(ik[..., axis] * mask, row, I[[col]]) for row, col, axis in grads])
 
 
 def _sigma_layer(D: int, products, h: float, carries=(), h_c: float = 0.0, grid=None,
@@ -381,18 +388,14 @@ def _product_sums(groups, units: np.ndarray, weights: np.ndarray, D: int) -> np.
 
 
 def _leray_terms(grid: Grid, scale: np.ndarray, row0: int, rows: np.ndarray) -> list:
-    """Terms adding scale * k k^T/|k|^2 applied to the combine rows into rows row0 + m.
+    """_f_layer blocks adding scale * k k^T/|k|^2 applied to the combine rows into rows
+    row0 + m.
 
-    Next to a term -scale * rows on the same rows they give -scale times the
+    Next to a block -scale * rows on the same rows they give -scale times the
     Leray projection of the combined field."""
     lat = _lattice(grid.d, grid.N)
-    terms = []
-    for m in range(grid.d):
-        for mp in range(grid.d):
-            A = np.zeros((rows.shape[1],) * 2)
-            A[row0 + m] = rows[mp]
-            terms.append((scale * (lat.k[..., m] * lat.k[..., mp] * lat.inv_k2), A))
-    return terms
+    return [(scale * (lat.k[..., m] * lat.k[..., mp] * lat.inv_k2), row0 + m, rows[[mp]])
+            for m in range(grid.d) for mp in range(grid.d)]
 
 
 def _psi_combine(row0: int, h: float, D: int) -> np.ndarray:
@@ -413,14 +416,11 @@ def _darcy_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     D = 4 * d + 2
     mask = _mask(grid, N, zero_mean=False)
     # (a, u) -> (a, du/dx_i) -> sq_h units of a * du/dx_i -> P_N(a grad u)_i in channel i
-    L1 = _feed_layer(grid, D, mask, [(0, 0)], [(1 + i, 1, i) for i in range(d)])
+    L1 = _feed_layer(grid, D, mask, [0], [(1 + i, 1, i) for i in range(d)])
     L2, units, _ = _sigma_layer(D, [(0, 1 + i) for i in range(d)], h)
     weights, const = _sq_decode(h)
-    C = np.zeros((D, D))
-    C[:d] = _product_sums([[i] for i in range(d)], units, weights, D)
-    bias3 = np.zeros(D)
-    bias3[:d] = const
-    L3 = FnoLayer(D, None, bias3, FourierMultiplier(d, grid.N, [(mask, C)], D, check=False), False)
+    L3 = _f_layer(grid, D, [(mask, 0, _product_sums([[i] for i in range(d)], units, weights, D))],
+                  np.concatenate([np.full(d, const), np.zeros(D - d)]))
     return PsiFno(grid, np.eye(D, 2), (L1, L2, L3), np.eye(d, D), _SIGMA.name,
                   meta={"h": h, "kind": "darcy-nonlinearity"})
 
@@ -465,16 +465,13 @@ def _ns_nonlin_net(N: int, d: int, h: float) -> PsiFno:
     mask_dot = _mask(grid, N, zero_mean=True)
     # (u, w) -> (u, dw_m/dx_i at d + i*d + m) -> sq_h units of u_i * dw_m/dx_i
     pairs = [(i, m) for i in range(d) for m in range(d)]
-    L1 = _feed_layer(grid, D, mask, [(c, c) for c in range(d)],
-                     [(d + i * d + m, d + m, i) for i, m in pairs])
+    L1 = _feed_layer(grid, D, mask, range(d), [(d + i * d + m, d + m, i) for i, m in pairs])
     L2, units, _ = _sigma_layer(D, [(i, d + i * d + m) for i, m in pairs], h)
 
     # F-layer: Leray-truncated combine of adv_m = sum_i u_i dw_m/dx_i
-    C = np.zeros((D, D))
-    C[:d] = _product_sums([[i * d + m for i in range(d)] for m in range(d)], units,
-                          _sq_decode(h)[0], D)
-    terms3 = [(mask_dot, C)] + _leray_terms(grid, -mask_dot, 0, C[:d])
-    L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
+    adv = _product_sums([[i * d + m for i in range(d)] for m in range(d)], units,
+                        _sq_decode(h)[0], D)
+    L3 = _f_layer(grid, D, [(mask_dot, 0, adv)] + _leray_terms(grid, -mask_dot, 0, adv))
     return PsiFno(grid, np.eye(D, 2 * d), (L1, L2, L3), np.eye(d, D), _SIGMA.name,
                   meta={"h": h, "kind": "ns-nonlinearity"})
 
@@ -522,6 +519,7 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
     from . import darcy as darcy_mod
 
     _check_targets(B=B, eps=eps)
+    N, k = _positive_int(N, "resolution"), _positive_int(k, "target rate")
     rng = rng if rng is not None else np.random.default_rng(3)
     d = f.grid.d
     K = darcy_mod.iteration_count(lam, N, k)
@@ -553,25 +551,17 @@ def build_darcy_emulator(f: GridField, lam: float, N: int, k: int, B: float, eps
     bias_vals = np.zeros(grid.shape + (D,))
     bias_vals[..., 1] = bias_field_vals[..., 0]
     # block layer 1, independent of the steps: (atilde, u) -> (Pdot_N atilde, grad u)
-    L1 = _feed_layer(grid, D, mask_dot, [(0, 0)], [(1 + i, 1, i) for i in range(d)])
+    L1 = _feed_layer(grid, D, mask_dot, [0], [(1 + i, 1, i) for i in range(d)])
 
     def build(h: float, h_c: float) -> PsiFno:
         # block layer 2: products atilde * g_i plus the psi carry of atilde
         L2, units, row_c = _sigma_layer(D, [(0, 1 + i) for i in range(d)], h, [0], h_c)
 
         # block layer 3: atilde carry + u update with the lifted source bias
-        A_carry = np.zeros((D, D))
-        A_carry[0] = _psi_combine(row_c, h_c, D)
-        terms3 = [(mask_dot, A_carry)]
         rows = _product_sums([[p] for p in range(d)], units, _sq_decode(h)[0], D)
-        for i, row in enumerate(rows):
-            A_i = np.zeros((D, D))
-            A_i[1] = row
-            terms3.append(((lat.ik[..., i] * lat.inv_k2) * mask_dot, A_i))
-        L3 = FnoLayer(
-            D, None, GridField(grid, bias_vals),
-            FourierMultiplier(d, grid.N, terms3, D, check=False), False,
-        )
+        L3 = _f_layer(grid, D, [(mask_dot, 0, [_psi_combine(row_c, h_c, D)])]
+                      + [((lat.ik[..., i] * lat.inv_k2) * mask_dot, 1, rows[[i]])
+                         for i in range(d)], GridField(grid, bias_vals))
         return PsiFno(
             grid, np.eye(D, 1), (L1, L2, L3) * K, np.eye(1, D, 1), _SIGMA.name,
             meta={"h": h, "h_carry": h_c, "K": K, "kind": "darcy-emulator",
@@ -634,10 +624,10 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
 
     # feed layers, independent of the steps: the first sweep of a time step
     # reads u (at n > 0 the u carried into w) and later sweeps add grad w
-    from_u = [(c, c) for c in range(d)]
+    from_u = range(d)
     grads = [(2 * d + i * d + m, d + m, i) for i in range(d) for m in range(d)]
     first = _feed_layer(grid, D, mask_dot, from_u, ())
-    from_w = _feed_layer(grid, D, mask_dot, [(c, d + c) for c in range(d)], ())
+    from_w = _feed_layer(grid, D, mask_dot, range(d, 2 * d), ())
     sweep = _feed_layer(grid, D, mask_dot, from_u, grads)
     feeds = [sweep if kk > 1 else from_w if n > 0 else first
              for n in range(n_T) for kk in range(1, kap + 1)]
@@ -650,15 +640,9 @@ def build_ns_emulator(config, eps_total: float, rng=None) -> PsiFno:
                             _sq_decode(h)[0], D)
 
         # F-layer: u rows get the carried u, w rows get F(w)
-        A_u = np.zeros((D, D))
-        A_u[:d] = carry
-        A_w_lin = np.zeros((D, D))
-        A_w_lin[d : 2 * d] = carry
-        A_w_adv = np.zeros((D, D))
-        A_w_adv[d : 2 * d] = adv
-        terms3 = [(mask_dot, A_u), (inv_helm, A_w_lin), (-tau * inv_helm, A_w_adv)]
-        terms3 += _leray_terms(grid, tau * inv_helm, d, adv)
-        L3 = FnoLayer(D, None, None, FourierMultiplier(d, grid.N, terms3, D, check=False), False)
+        L3 = _f_layer(grid, D, [(mask_dot, 0, carry), (inv_helm, d, carry),
+                                (-tau * inv_helm, d, adv)]
+                      + _leray_terms(grid, tau * inv_helm, d, adv))
         return PsiFno(
             grid, np.eye(D, d), tuple(L for feed in feeds for L in (feed, L2, L3)),
             np.eye(d, D, d), _SIGMA.name,
@@ -706,10 +690,10 @@ def _ft_net(N: int, d: int, h: float) -> PsiFno:
     # Re(v_k) = mean( v cos<k,x> ),  Im(v_k) = -mean( v sin<k,x> )
     weights, const = _sq_decode(h)
     signs = np.tile([1.0, -1.0], K)
-    C = np.zeros((D, D))
+    C = np.zeros((2 * K, D))
     C[np.arange(2 * K)[:, None], units] = signs[:, None] * weights
-    mult = FourierMultiplier(d, N, [(_mask(grid, 0, False), C.astype(complex))], D, check=False)
-    L2 = FnoLayer(D, None, np.concatenate([signs * const, np.zeros(D - 2 * K)]), mult, False)
+    L2 = _f_layer(grid, D, [(_mask(grid, 0, False), 0, C)],
+                  np.concatenate([signs * const, np.zeros(D - 2 * K)]))
 
     return PsiFno(grid, np.eye(D, 1), (L1, L2), np.eye(2 * K, D), _SIGMA.name,
                   meta={"h": h, "kind": "ft-emulator", "modes": ks.tolist()})

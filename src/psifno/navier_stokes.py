@@ -63,8 +63,8 @@ CFL_BOUND = 1.0 / (2.0 * math.e)
 
 def max_cfl_timestep(U: float, N: int, d: int) -> float:
     """Largest tau with tau * U * N^(d/2+1) <= 1/(2e)."""
-    if U <= 0 or N <= 0:
-        raise BadParameters("U and N must be positive")
+    if not 0.0 < U < math.inf or N <= 0:  # NaN fails the comparison
+        raise BadParameters(f"U must be finite and positive and N positive, got U={U}, N={N}")
     return CFL_BOUND / (U * float(N) ** (d / 2.0 + 1.0))
 
 

@@ -581,7 +581,7 @@ def random_hermitian_coeffs(
     decay: optional callable |k|_2 -> magnitude envelope applied after
     symmetrization.
     """
-    shape = grid.shape + (channels,)
+    shape = grid.shape + (_positive_int(channels, "channel count"),)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     axes = tuple(range(grid.d))
     sym = 0.5 * (raw + np.conj(np.flip(raw, axis=axes)))

@@ -168,6 +168,15 @@ class TestIterationCount:
         with pytest.raises(BadParameters):
             iteration_count(0.5, 4, 0)
 
+    def test_integral_floats_count_as_the_ints(self):
+        assert iteration_count(0.5, 16.0, 1.0) == iteration_count(0.5, 16, 1) == 8
+
+    @pytest.mark.parametrize("N,k", [(2.5, 1), (float("nan"), 1), (float("inf"), 1),
+                                     (4, 1.5), (4, float("nan"))])
+    def test_rejects_non_integral_resolution_or_rate(self, N, k):
+        with pytest.raises(BadParameters, match="positive integer"):
+            iteration_count(0.5, N, k)
+
 
 class TestSolve:
     def test_pure_laplace_exact(self):

@@ -35,7 +35,8 @@ from psifno.emulation import (
 )
 from psifno.errors import BadParameters, CalibrationFailed
 from psifno.fno import (
-    FnoLayer, FourierMultiplier, PsiFno, activation, compose, fno_forward, size_report,
+    FnoLayer, FourierMultiplier, PsiFno, activation, compose, fno_forward, save_model,
+    size_report,
 )
 from psifno.spectral import (
     Grid,
@@ -356,6 +357,28 @@ class TestTargetsChecked:
         if entry != "ns-emulator":
             with pytest.raises(BadParameters, match="finite and positive"):
                 TARGET_ENTRIES[entry](value, 1e-3)
+
+
+class TestDarcyEmulatorIntegers:
+    """The Darcy emulator takes N and k as integers >= 1: an integral float builds the
+    same network, anything else is refused before any work."""
+
+    @staticmethod
+    def _build(N, k=1):
+        f = field_from_function(Grid(2, 4), lambda x, y: np.cos(x) + np.sin(2 * y))
+        return build_darcy_emulator(f, 0.5, N, k, 2.0, 1e-2, rng=np.random.default_rng(9))
+
+    def test_integral_float_saves_the_same_bytes(self, tmp_path):
+        for name, N, k in (("int", 2, 1), ("float", 2.0, 1.0)):
+            save_model(self._build(N, k), tmp_path / name)
+        assert (tmp_path / "int").read_bytes() == (tmp_path / "float").read_bytes()
+
+    @pytest.mark.parametrize("N,k", [(2.5, 1), (float("nan"), 1), (0, 1), (2, 1.5)])
+    def test_rejected_before_any_work(self, monkeypatch, N, k):
+        for name in ("solve", "random_decay_coefficient"):
+            monkeypatch.setattr(dm, name, _no_work)
+        with pytest.raises(BadParameters, match="positive integer"):
+            self._build(N, k)
 
 
 class TestProductNet:

@@ -72,6 +72,11 @@ class TestMaxCflTimestep:
         r = max_cfl_timestep(1.0, 8, 2) / max_cfl_timestep(1.0, 8, 3)
         assert abs(r - math.sqrt(8.0)) < 1e-12
 
+    @pytest.mark.parametrize("U", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_U(self, U):
+        with pytest.raises(BadParameters, match="finite and positive"):
+            max_cfl_timestep(U, 8, 2)
+
 
 class TestConfigValidation:
     def test_cfl_enforced(self):

@@ -413,6 +413,17 @@ class TestOneFieldEncoder:
         assert writers == {"_sigma_layer"}
 
 
+class TestOneFLayerAssembler:
+    """In emulation.py every unactivated multiplier layer of the constructive networks is
+    written by _f_layer; only _affine_approx_net builds its own multiplier, re-wrapping a
+    given layer's terms at that layer's radius."""
+
+    def test_only_the_assembler_builds_multipliers(self):
+        uses = _transform_uses(Path(emulation.__file__), {"FourierMultiplier"})
+        assert sorted(fn for fn, _, _ in uses if fn is not None) == ["_affine_approx_net",
+                                                                    "_f_layer"]
+
+
 class TestNoAssertGuards:
     """The package guards with typed errors, never assert, so no check disappears
     under python -O."""

@@ -81,6 +81,18 @@ class TestGrid:
             with pytest.raises(BadParameters):
                 make()
 
+    def test_integral_float_channel_count_draws_the_same_field(self):
+        g = Grid(2, 3)
+        want = random_field(g, np.random.default_rng(5), channels=2)
+        got = random_field(g, np.random.default_rng(5), channels=2.0)
+        assert got.values.shape == (7, 7, 2) and np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("channels", [0, 2.5, np.nan])
+    def test_rejects_non_integral_channel_counts(self, channels):
+        for draw in (random_field, random_hermitian_coeffs):
+            with pytest.raises(BadParameters):
+                draw(Grid(1, 2), np.random.default_rng(0), channels)
+
     def test_coordinates(self):
         g = Grid(1, 2)
         x = g.axis_coordinates()
