@@ -41,7 +41,7 @@ cfg = ns.NsConfig(d=2, N=N, nu=nu, T=n_T * tau, tau=tau, U=U, u0=u0)
 net = build_ns_emulator(cfg, eps_total=1e-3, rng=np.random.default_rng(2))
 rep = size_report(net)
 print(f"  n_T = {n_T}, kappa0 = {net.meta['kappa0']} -> depth {rep.depth} "
-      f"(3 layers per inner sweep), lift {rep.lift}")
+      f"(2 layers for the first sweep of a step, 3 per later sweep), lift {rep.lift}")
 
 for name, v0 in [("taylor-green", u0),
                  ("random", ns.random_divergence_free(Grid(2, N),

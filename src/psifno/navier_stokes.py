@@ -45,6 +45,7 @@ from .spectral import (
     _half_norm,
     _irfft_values,
     _on_grid,
+    _positive_int,
     _product_radius,
     _rfft_half,
     divergence,
@@ -63,15 +64,16 @@ CFL_BOUND = 1.0 / (2.0 * math.e)
 
 def max_cfl_timestep(U: float, N: int, d: int) -> float:
     """Largest tau with tau * U * N^(d/2+1) <= 1/(2e)."""
-    if not 0.0 < U < math.inf or N <= 0:  # NaN fails the comparison
-        raise BadParameters(f"U must be finite and positive and N positive, got U={U}, N={N}")
+    N = _positive_int(N, "mode radius")
+    if not 0.0 < U < math.inf:  # NaN fails the comparison
+        raise BadParameters(f"U must be finite and positive, got U={U}")
     return CFL_BOUND / (U * float(N) ** (d / 2.0 + 1.0))
 
 
 def kappa0(T: float, tau: float, order: int = 1) -> int:
     """Inner iteration count: ceil(log((T/tau)^2)/log 2), cubed ratio for order 2."""
-    if not 0.0 < tau <= T:
-        raise BadParameters(f"need 0 < tau <= T, got tau={tau}, T={T}")
+    if not 0.0 < tau <= T < math.inf:  # NaN fails the comparison
+        raise BadParameters(f"need 0 < tau <= T < inf, got tau={tau}, T={T}")
     if order not in (1, 2):
         raise BadParameters(f"order must be 1 or 2, got {order}")
     power = 2 if order == 1 else 3

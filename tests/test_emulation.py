@@ -696,6 +696,26 @@ class TestForwardPlanOnEmulators:
         assert np.array_equal(fno_forward(again, a).values, fno_forward(net, a).values)
         assert len({id(s) for s in again._plans[again.grid].steps}) == 5
 
+    def test_ns_first_sweep_makes_no_transform_of_its_own(self, monkeypatch):
+        # the ns-emu-n8 benchmark settings: n_T = 4 steps of kappa0 = 4 sweeps, the
+        # first sweep of each a linear base layer fused into its neighbours
+        import psifno.fno
+
+        u0 = ns.taylor_green(0.05, 0.0, 8, amplitude=0.1)
+        U = 2.0 * l2_norm(u0)
+        tau = 0.9 * ns.max_cfl_timestep(U, 8, 2)
+        cfg = ns.NsConfig(d=2, N=8, nu=0.05, T=4 * tau, tau=tau, U=U, u0=u0)
+        net = build_ns_emulator(cfg, eps_total=1e-3, rng=np.random.default_rng(800))
+        calls = {"forward": 0, "inverse": 0}
+        for name, kind in (("_rfft_half", "forward"), ("_irfft_values", "inverse")):
+            real = getattr(psifno.fno, name)
+            monkeypatch.setattr(psifno.fno, name, lambda *x, real=real, kind=kind:
+                                calls.__setitem__(kind, calls[kind] + 1) or real(*x))
+        fno_forward(net, u0)
+        assert calls == {"forward": 13, "inverse": 13}
+        steps = net._plans[net.grid].steps
+        assert len(steps) == 25 and sum(s.activated for s in steps) == 12
+
 
 @pytest.fixture(scope="module")
 def small():
@@ -710,11 +730,15 @@ def small():
 
 class TestNsEmulator:
     def test_blocks_share_three_feed_layers(self, small):
+        # per time step: first | from_w, base, then (sweep, L2, L3) per later sweep
         net, _ = small
-        n_blocks = net.meta["n_T"] * net.meta["kappa0"]
-        assert net.depth == 3 * n_blocks
-        assert len({id(layer) for layer in net.layers[0::3]}) == 3
-        assert len({id(layer) for layer in net.layers}) == 5
+        n_T, kap = net.meta["n_T"], net.meta["kappa0"]
+        assert net.depth == n_T * (3 * kap - 1)
+        steps = [net.layers[n * (3 * kap - 1):(n + 1) * (3 * kap - 1)] for n in range(n_T)]
+        assert len({id(step[0]) for step in steps}) == 2  # first, from_w
+        assert len({id(step[1]) for step in steps}) == 1  # base
+        assert len({id(layer) for step in steps for layer in step[2::3]}) == 1  # sweep
+        assert len({id(layer) for layer in net.layers}) == 6
 
     def test_zero_initial_data(self, small):
         net, cfg = small
@@ -740,7 +764,19 @@ class TestNsEmulator:
     def test_depth_matches_block_count(self, small):
         net, cfg = small
         kap = ns.kappa0(cfg.T, cfg.tau, order=1)
-        assert net.depth == 3 * cfg.n_steps * kap
+        assert net.depth == cfg.n_steps * (3 * kap - 1)
+
+    def test_single_sweep_has_no_gadget(self):
+        # kappa0 = 1 (T = tau): the step is F(0) = H^-1 u, which base writes exactly
+        N, d, nu, U = 8, 2, 0.05, 0.5
+        tau = 0.9 * ns.max_cfl_timestep(U, N, d)
+        u0 = ns.random_divergence_free(Grid(d, N), np.random.default_rng(15), norm=0.9 * U)
+        cfg = ns.NsConfig(d=d, N=N, nu=nu, T=tau, tau=tau, U=U, u0=u0)
+        net = build_ns_emulator(cfg, eps_total=1e-3, rng=np.random.default_rng(16))
+        assert net.meta["kappa0"] == 1 and net.depth == 2
+        assert not any(layer.apply_activation for layer in net.layers)
+        ref = resample(ns.simulate(cfg, "first").final.u, 2 * N)
+        assert np.max(np.abs(fno_forward(net, u0).values - ref.values)) <= 1e-12
 
 
 def test_emulator_plans_keep_matmul_operands_c_ordered(darcy_emulator_small):

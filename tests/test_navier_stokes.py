@@ -58,6 +58,13 @@ class TestKappa0:
         with pytest.raises(BadParameters):
             kappa0(1.0, -0.1)
 
+    @pytest.mark.parametrize("T,tau", [(float("inf"), 1.0), (1.0, float("inf")),
+                                       (float("inf"), float("inf")), (float("nan"), 1.0),
+                                       (1.0, float("nan"))])
+    def test_rejects_non_finite_horizon_or_step(self, T, tau):
+        with pytest.raises(BadParameters):
+            kappa0(T, tau)
+
 
 class TestMaxCflTimestep:
     def test_direct_evaluation(self):
@@ -76,6 +83,14 @@ class TestMaxCflTimestep:
     def test_rejects_non_finite_or_non_positive_U(self, U):
         with pytest.raises(BadParameters, match="finite and positive"):
             max_cfl_timestep(U, 8, 2)
+
+    def test_integral_float_resolution_accepted(self):
+        assert max_cfl_timestep(1.0, 8.0, 2) == max_cfl_timestep(1.0, 8, 2)
+
+    @pytest.mark.parametrize("N", [float("nan"), 2.5, 0, -1])
+    def test_rejects_resolution_no_grid_has(self, N):
+        with pytest.raises(BadParameters, match="positive integer"):
+            max_cfl_timestep(1.0, N, 2)
 
 
 class TestConfigValidation:
